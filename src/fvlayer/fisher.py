@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gmm
 from .gmm import GmmParams, posteriors
-
-# Points are processed in slabs of this many rows so that no intermediate
-# grows with T beyond a constant factor. Fixed so results are reproducible
-# bit for bit regardless of caller configuration.
-CHUNK_ROWS = 1024
 
 __all__ = [
     "SufficientStats",
@@ -173,9 +169,10 @@ def fv_backward_params(
     d_mu = np.zeros((k, d))
     d_var = np.zeros((k, d))
 
-    for start in range(0, t, CHUNK_ROWS):
-        x = features[start : start + CHUNK_ROWS]
-        g = gamma[start : start + CHUNK_ROWS]
+    rows = gmm.CHUNK_ROWS
+    for start in range(0, t, rows):
+        x = features[start : start + rows]
+        g = gamma[start : start + rows]
         c = x.shape[0]
         alpha = (x[:, None, :] - mu[None]) / sigma[None]  # (c, K, D)
         q = alpha * alpha - 1.0
@@ -237,9 +234,10 @@ def fv_backward_input(
     direct_var_coef = 2.0 * u_var / sq2w[:, None]  # (K, D)
 
     out = np.empty((t, d))
-    for start in range(0, t, CHUNK_ROWS):
-        x = features[start : start + CHUNK_ROWS]
-        g = gamma[start : start + CHUNK_ROWS]
+    rows = gmm.CHUNK_ROWS
+    for start in range(0, t, rows):
+        x = features[start : start + rows]
+        g = gamma[start : start + rows]
         alpha = (x[:, None, :] - mu[None]) / sigma[None]
         beta = (x[:, None, :] - mu[None]) / var[None]
         q = alpha * alpha - 1.0

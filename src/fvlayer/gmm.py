@@ -28,7 +28,16 @@ ZETA_LIMIT = 30.0
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Every pass that forms a (rows, K, D) intermediate (the E-step here, the
+# encoder's backward passes) streams over slabs of this many points, so that
+# intermediate never exceeds CHUNK_ROWS * K * D values whatever T is. What
+# still grows with T is O(T * K) or O(T * D): posteriors and per-point
+# outputs. Fixed so results are reproducible bit for bit regardless of
+# caller configuration.
+CHUNK_ROWS = 1024
+
 __all__ = [
+    "CHUNK_ROWS",
     "VARIANCE_FLOOR",
     "NU_LIMIT",
     "ZETA_LIMIT",
@@ -146,14 +155,23 @@ def log_gaussian(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float
 
 
 def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
-    """Per-point, per-component log-densities, shape (T, K)."""
+    """Per-point, per-component log-densities, shape (T, K).
+
+    Streamed over CHUNK_ROWS-row slabs; each row's arithmetic does not depend
+    on the slab it falls in, so the result is independent of CHUNK_ROWS.
+    """
     mu = params.means
     var = params.variances
     # constant per component, then the quadratic form
     const = -0.5 * np.sum(LOG_2PI + np.log(var), axis=1)  # (K,)
-    diff = features[:, None, :] - mu[None, :, :]  # (T, K, D)
-    quad = np.einsum("tkd,kd->tk", diff * diff, 1.0 / var)
-    return const[None, :] - 0.5 * quad
+    inv_var = 1.0 / var
+    out = np.empty((features.shape[0], params.n_components))
+    for start in range(0, features.shape[0], CHUNK_ROWS):
+        diff = features[start : start + CHUNK_ROWS, None, :] - mu[None]  # (c, K, D)
+        diff *= diff
+        quad = np.einsum("tkd,kd->tk", diff, inv_var)
+        out[start : start + CHUNK_ROWS] = const[None, :] - 0.5 * quad
+    return out
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -167,6 +185,7 @@ def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
 
     Computed entirely in the log domain so that badly scaled inputs only
     shift log-densities instead of overflowing them. Rows sum to one.
+    Memory is O(T * K + CHUNK_ROWS * K * D): no (T, K, D) array is formed.
     """
     features = _check_features(features, params.dim)
     log_dens = _log_density_matrix(features, params)
@@ -186,10 +205,12 @@ def _kmeanspp_centers(
     for k in range(1, n_components):
         total = d2.sum()
         if total <= 0.0:
-            # all remaining mass sits on already-chosen points
-            idx = int(rng.integers(t))
-        else:
-            idx = int(rng.choice(t, p=d2 / total))
+            # every row coincides with one of the k distinct centers chosen so
+            # far (or lies within an underflowing squared distance of one)
+            raise ValueError(
+                f"need at least {n_components} distinct rows, found {k}"
+            )
+        idx = int(rng.choice(t, p=d2 / total))
         centers[k] = features[idx]
         d2 = np.minimum(d2, np.sum((features - centers[k]) ** 2, axis=1))
     return centers
@@ -203,37 +224,48 @@ def kmeans_init(
     Cluster fractions become weights, centroids become means, and
     within-cluster per-coordinate variances (floored at VARIANCE_FLOOR)
     become variances. Deterministic for a fixed seed.
+
+    Bit-exactness contract: for D >= 2 the result is bit-identical to the
+    textbook loop that recomputes squared distances as
+    |x|^2 - 2 x.c + |c|^2, re-seeds each empty cluster (in ascending order)
+    with the point farthest from its center, and sets each center to
+    ``features[assign == k].mean(axis=0)``. Both the weighted bincount used
+    here and that axis-0 mean add rows sequentially in row order. For D == 1
+    numpy's mean sums pairwise instead, so centroids agree to rounding only.
     """
     features = _check_features(features)
-    t = features.shape[0]
+    t, d = features.shape
     if n_components < 1:
         raise ValueError("n_components must be at least 1")
-    n_distinct = np.unique(features, axis=0).shape[0]
-    if n_distinct < n_components:
-        raise ValueError(
-            f"need at least {n_components} distinct rows, found {n_distinct}"
-        )
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_centers(features, n_components, rng)
 
+    row_norms = np.sum(features**2, axis=1)
+    columns = np.ascontiguousarray(features.T)  # (D, T): one bincount per coordinate
+    sums = np.empty((n_components, d))
     assign = np.full(t, -1, dtype=np.intp)
     for _ in range(100):
-        d2 = (
-            np.sum(features**2, axis=1)[:, None]
-            - 2.0 * features @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
+        # scaling by -2 is exact, so this is |x|^2 - 2 x.c + |c|^2 bit for bit
+        d2 = features @ centers.T
+        d2 *= -2.0
+        d2 += row_norms[:, None]
+        d2 += np.sum(centers**2, axis=1)[None, :]
         new_assign = np.argmin(d2, axis=1)
+        counts = np.bincount(new_assign, minlength=n_components)
         for k in range(n_components):
-            # empty cluster takes the point farthest from its center
-            if not np.any(new_assign == k):
+            # empty cluster takes the point farthest from its center; counts
+            # stay live because a re-seed can empty a later cluster
+            if counts[k] == 0:
                 worst = int(np.argmax(d2[np.arange(t), new_assign]))
+                counts[new_assign[worst]] -= 1
+                counts[k] += 1
                 new_assign[worst] = k
         if np.array_equal(new_assign, assign):
             break  # fixed point: centers are the centroids of `assign`
         assign = new_assign
-        for k in range(n_components):
-            centers[k] = features[assign == k].mean(axis=0)
+        for j in range(d):
+            sums[:, j] = np.bincount(assign, weights=columns[j], minlength=n_components)
+        np.divide(sums, counts[:, None], out=centers)
 
     weights = np.empty(n_components)
     variances = np.empty((n_components, features.shape[1]))
@@ -261,7 +293,9 @@ def em_fit(
 
     Stops when the mean log-likelihood improves by less than `tol` in
     relative terms. A component whose posterior mass starves (below 1e-12)
-    is re-seeded to a random data point and logged as a warning.
+    is re-seeded to a random data point and logged as a warning. Memory is
+    O(T * K + T * D + CHUNK_ROWS * K * D): the E-step streams its (rows, K, D)
+    intermediate like `posteriors` does.
     """
     features = _check_features(features, init.dim)
     t = features.shape[0]

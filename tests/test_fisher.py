@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import fvlayer.fisher as fisher
+import fvlayer.gmm as gmm
 from fvlayer.fisher import (
     fv_backward_input,
     fv_backward_params,
@@ -14,7 +14,7 @@ from fvlayer.fisher import (
     fv_length,
     split_blocks,
 )
-from fvlayer.gmm import GmmParams, posteriors
+from fvlayer.gmm import GmmParams, em_fit, posteriors
 from fvlayer.gradcheck import (
     check_fv_blocks,
     fd_jacobian,
@@ -169,12 +169,20 @@ def test_backward_independent_of_chunk_size(monkeypatch):
     upstream = rng.normal(size=fv_length(3, 2))
     base_p = fv_backward_params(feats, params, gamma, upstream)
     base_x = fv_backward_input(feats, params, gamma, upstream)
-    monkeypatch.setattr(fisher, "CHUNK_ROWS", 7)
+    base_fit = em_fit(feats, params)
+    # one constant sets the slabs of the E-step and of both backward passes
+    monkeypatch.setattr(gmm, "CHUNK_ROWS", 7)
     chunked_p = fv_backward_params(feats, params, gamma, upstream)
     chunked_x = fv_backward_input(feats, params, gamma, upstream)
     for a, b in zip(base_p, chunked_p):
         np.testing.assert_allclose(b, a, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(chunked_x, base_x, rtol=1e-13, atol=1e-13)
+    # the E-step's rows do not depend on their slab, so it is bit-equal
+    np.testing.assert_array_equal(posteriors(feats, params), gamma)
+    chunked_fit = em_fit(feats, params)
+    np.testing.assert_array_equal(chunked_fit.weights, base_fit.weights)
+    np.testing.assert_array_equal(chunked_fit.means, base_fit.means)
+    np.testing.assert_array_equal(chunked_fit.variances, base_fit.variances)
 
 
 def test_jacobians_match_onehot_backward():

@@ -1,11 +1,13 @@
 """Mixture model: densities, posteriors, fitting, reparameterization."""
 
 import logging
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+import fvlayer.gmm as gmm
 from fvlayer.gmm import (
     GmmParams,
     RawGmmParams,
@@ -153,6 +155,86 @@ def test_kmeans_needs_enough_distinct_rows():
         kmeans_init(feats, 2, seed=0)
 
 
+def _reference_kmeans_init(features, n_components, seed):
+    """kmeans_init as a plain per-cluster Lloyd loop: the oracle for its
+    bit-exactness contract. Returns (params, Lloyd iterations, re-seeds)."""
+    t = features.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = gmm._kmeanspp_centers(features, n_components, rng)
+    assign = np.full(t, -1, dtype=np.intp)
+    iterations = reseeds = 0
+    for _ in range(100):
+        iterations += 1
+        d2 = (
+            np.sum(features**2, axis=1)[:, None]
+            - 2.0 * features @ centers.T
+            + np.sum(centers**2, axis=1)[None, :]
+        )
+        new_assign = np.argmin(d2, axis=1)
+        for k in range(n_components):
+            if not np.any(new_assign == k):
+                reseeds += 1
+                worst = int(np.argmax(d2[np.arange(t), new_assign]))
+                new_assign[worst] = k
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for k in range(n_components):
+            centers[k] = features[assign == k].mean(axis=0)
+    weights = np.empty(n_components)
+    variances = np.empty((n_components, features.shape[1]))
+    for k in range(n_components):
+        mask = assign == k
+        weights[k] = mask.sum() / t
+        variances[k] = np.maximum(features[mask].var(axis=0), VARIANCE_FLOOR)
+    weights = weights / weights.sum()
+    return GmmParams(weights, centers, variances), iterations, reseeds
+
+
+def _assert_same_mixture(got, expected):
+    np.testing.assert_array_equal(got.weights, expected.weights)
+    np.testing.assert_array_equal(got.means, expected.means)
+    np.testing.assert_array_equal(got.variances, expected.variances)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_kmeans_bit_identical_to_reference_loop(case):
+    rng = np.random.default_rng(300 + case)
+    t = int(rng.integers(20, 600))
+    d = int(rng.integers(2, 7))
+    k = int(rng.integers(1, 10))
+    feats = rng.normal(size=(t, d)) * rng.uniform(0.1, 10.0) + rng.normal(size=d)
+    expected, _, _ = _reference_kmeans_init(feats, k, seed=case)
+    _assert_same_mixture(kmeans_init(feats, k, seed=case), expected)
+
+
+@pytest.mark.parametrize("seed, capped", [(2, True), (3, False), (4, True), (7, False)])
+def test_kmeans_bit_identical_to_reference_loop_on_near_ties(seed, capped):
+    # 80 copies of 6 rows that differ by ~1e-5 at an offset of 100: the
+    # expanded |x|^2 - 2 x.c + |c|^2 rounds at the scale of their separation,
+    # so the order of its additions decides assignments. For some seeds
+    # clusters keep emptying, get re-seeded, and the loop never settles.
+    rng = np.random.default_rng(seed)
+    rows = 100.0 + 1e-5 * rng.normal(size=(6, 2))
+    feats = rows[rng.integers(0, 6, size=80)]
+    expected, iterations, reseeds = _reference_kmeans_init(feats, 6, seed)
+    assert (reseeds > 0 and iterations == 100) == capped  # the cap, not a fixed point
+    _assert_same_mixture(kmeans_init(feats, 6, seed), expected)
+
+
+def test_kmeans_one_dimensional_matches_reference_loop_to_rounding():
+    # for (n, 1) input numpy's axis-0 mean coalesces to a 1-D pairwise sum,
+    # whereas kmeans_init adds rows in order, so centroids may differ in the
+    # last bits; assignments (hence weights) still agree
+    for seed in range(4):
+        rng = np.random.default_rng(400 + seed)
+        feats = rng.normal(size=(int(rng.integers(50, 500)), 1))
+        expected, _, _ = _reference_kmeans_init(feats, 5, seed)
+        got = kmeans_init(feats, 5, seed)
+        np.testing.assert_array_equal(got.weights, expected.weights)
+        np.testing.assert_allclose(got.means, expected.means, rtol=0, atol=1e-12)
+
+
 def test_kmeans_variances_floored():
     feats = np.array([[0.0, 0.0], [0.0, 1e-9], [5.0, 0.0], [5.0, 1e-9]])
     params = kmeans_init(feats, 2, seed=0)
@@ -203,6 +285,49 @@ def test_em_reseeds_starved_component(caplog):
     fitted.validate()
     # the re-seeded mean must have moved onto the data
     assert np.all(np.abs(fitted.means) < 1.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="em_fit stops after one M-step: on the first pass prev_ll is -inf, "
+    "so `inf <= tol * inf` holds",
+)
+def test_em_runs_more_than_one_e_step(monkeypatch):
+    rng = np.random.default_rng(61)
+    feats = np.concatenate([
+        rng.normal(loc=-1.0, scale=1.0, size=(200, 2)),
+        rng.normal(loc=1.0, scale=0.5, size=(200, 2)),
+    ])
+    init = kmeans_init(feats, 2, seed=5)
+    e_steps = []
+    density = gmm._log_density_matrix
+
+    def counting(features, params):
+        e_steps.append(1)
+        return density(features, params)
+
+    monkeypatch.setattr(gmm, "_log_density_matrix", counting)
+    em_fit(feats, init, seed=5)
+    assert len(e_steps) > 1
+
+
+def test_e_step_memory_bounded_in_t():
+    # one unchunked (T, K, D) float64 intermediate here would be 188 MiB
+    rng = np.random.default_rng(67)
+    feats = rng.normal(size=(48000, 32))
+    params = random_params(16, 32, rng)
+    limit = 64 * 2**20
+    tracemalloc.start()
+    try:
+        posteriors(feats, params)
+        posteriors_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        em_fit(feats, params)
+        em_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert posteriors_peak < limit
+    assert em_peak < limit
 
 
 # ------------------------------------------------- reparameterization
