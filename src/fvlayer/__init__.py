@@ -20,8 +20,7 @@ from .gmm import (
 )
 from .fisher import (
     SufficientStats,
-    fv_backward_input,
-    fv_backward_params,
+    fv_backward,
     fv_forward,
     fv_forward_naive,
     fv_length,

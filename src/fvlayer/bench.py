@@ -1,6 +1,6 @@
 """Wall-clock benchmarks for the encoding layer.
 
-Two measurements matter here: how the parameter-gradient pass scales with
+Two measurements matter here: how the backward pass scales with
 the number of points per image, and how much batch-level parallelism buys
 when several images are encoded at once.  Results go to a small CSV so
 they can be plotted or diffed between machines.
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import fv_backward_input, fv_backward_params, fv_forward
+from .fisher import fv_backward, fv_forward
 from .gmm import GmmParams
 from .normalization import norm_forward
 from .parallel import map_chunks
 
-CSV_FIELDS = ("t", "k", "d", "threads", "fwd_ms", "bwd_params_ms", "bwd_input_ms")
+CSV_FIELDS = ("t", "k", "d", "threads", "fwd_ms", "bwd_ms")
 
 _WARMUP_RUNS = 1
 _DEFAULT_REPEATS = 5
@@ -32,8 +32,7 @@ class BenchRow:
     d: int
     threads: int
     fwd_ms: float
-    bwd_params_ms: float
-    bwd_input_ms: float
+    bwd_ms: float
 
     def as_csv(self) -> list[str]:
         return [
@@ -42,8 +41,7 @@ class BenchRow:
             str(self.d),
             str(self.threads),
             f"{self.fwd_ms:.3f}",
-            f"{self.bwd_params_ms:.3f}",
-            f"{self.bwd_input_ms:.3f}",
+            f"{self.bwd_ms:.3f}",
         ]
 
 
@@ -76,12 +74,8 @@ def time_instance(t: int, k: int, d: int, seed: int = 0,
     _, gamma, _ = fv_forward(features, params)
 
     fwd = _median_ms(lambda: fv_forward(features, params), repeats)
-    bwd_p = _median_ms(
-        lambda: fv_backward_params(features, params, gamma, upstream), repeats)
-    bwd_x = _median_ms(
-        lambda: fv_backward_input(features, params, gamma, upstream), repeats)
-    return BenchRow(t=t, k=k, d=d, threads=threads,
-                    fwd_ms=fwd, bwd_params_ms=bwd_p, bwd_input_ms=bwd_x)
+    bwd = _median_ms(lambda: fv_backward(features, params, gamma, upstream), repeats)
+    return BenchRow(t=t, k=k, d=d, threads=threads, fwd_ms=fwd, bwd_ms=bwd)
 
 
 def scaling_in_t(t_values: list[int], k: int = 16, d: int = 32,
@@ -91,11 +85,8 @@ def scaling_in_t(t_values: list[int], k: int = 16, d: int = 32,
 
 
 def doubling_factors(rows: list[BenchRow]) -> list[float]:
-    """bwd_params time ratios between consecutive rows (expected ~2 when T doubles)."""
-    out = []
-    for prev, cur in zip(rows, rows[1:]):
-        out.append(cur.bwd_params_ms / max(prev.bwd_params_ms, 1e-9))
-    return out
+    """bwd time ratios between consecutive rows (expected ~2 when T doubles)."""
+    return [cur.bwd_ms / max(prev.bwd_ms, 1e-9) for prev, cur in zip(rows, rows[1:])]
 
 
 def _encode_batch_chunk(chunk: list[np.ndarray], params: GmmParams) -> list[np.ndarray]:

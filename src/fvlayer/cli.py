@@ -21,14 +21,12 @@ import numpy as np
 
 from .bench import batch_speedup, format_csv, scaling_in_t
 from .data_io import (
-    Dataset,
     FileFormatError,
     make_synthetic_2d,
     pca_apply,
     pca_fit,
     read_checkpoint,
     read_features,
-    read_pca,
     load_dataset,
     save_dataset,
     write_checkpoint,

@@ -19,13 +19,17 @@ import numpy as np
 from . import gmm
 from .gmm import GmmParams, posteriors
 
+# The backward walks each CHUNK_ROWS chunk in tiles of at most this many
+# (rows, K, D) values (1 MiB of float64 per buffer), so its working set stays
+# in cache and its memory is bounded by this budget, not by CHUNK_ROWS * K * D.
+TILE_VALUES = 131072
+
 __all__ = [
     "SufficientStats",
     "fv_length",
     "fv_forward",
     "fv_forward_naive",
-    "fv_backward_params",
-    "fv_backward_input",
+    "fv_backward",
     "fv_jacobian_params",
     "fv_jacobian_input",
     "split_blocks",
@@ -137,20 +141,39 @@ def fv_forward_naive(features: np.ndarray, params: GmmParams) -> np.ndarray:
     return np.concatenate([f_w, f_mu.ravel(), f_var.ravel()])
 
 
-def fv_backward_params(
+def _row_sum(lhs: np.ndarray, rhs: np.ndarray, n: int, carry) -> np.ndarray:
+    """einsum("ck,ckd->kd") over rows 1..n of two tile buffers.
+
+    A non-None carry is written to the reserved row 0 of rhs, whose row-0
+    weight in lhs is 1.0, so the sum continues the carry in row order as
+    one einsum over all rows so far would.
+    """
+    if carry is None:
+        return np.einsum("ck,ckd->kd", lhs[1 : n + 1], rhs[1 : n + 1])
+    rhs[0] = carry
+    return np.einsum("ck,ckd->kd", lhs[: n + 1], rhs[: n + 1])
+
+
+def fv_backward(
     features: np.ndarray,
     params: GmmParams,
     gamma: np.ndarray,
     upstream: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contract an upstream gradient against the parameter Jacobian.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Contract an upstream gradient against the parameter and input Jacobians.
 
-    Weights are treated as free coordinates; the simplex coupling enters
-    only through the posteriors, exactly as in the forward pass. Returns
-    (d_weights (K,), d_means (K, D), d_variances (K, D)).
+    Returns (d_weights (K,), d_means (K, D), d_variances (K, D),
+    d_features (T, D)). Weights are treated as free coordinates; the simplex
+    coupling enters only through the posteriors, exactly as in the forward
+    pass. Point t only receives gradient through its own posterior row and
+    its own direct appearance in the encoding sums.
 
-    Accumulation is streamed over fixed-size chunks of points in ascending
-    order; per-chunk cost is O(chunk * K * D) and nothing of size
+    One pass computes every per-point term once. Parameter sums are grouped
+    per CHUNK_ROWS-row chunk in ascending order. Inside a chunk, rows are
+    walked in tiles of at most TILE_VALUES (rows, K, D) values, and each
+    (K, D) sum is carried across tiles in row order, so it matches one
+    einsum over the whole chunk bit for bit. Memory is O(T * D +
+    CHUNK_ROWS * K) plus three tile buffers; nothing of size
     T * (2D+1)K * (2D+1)K is ever formed.
     """
     features = _check_inputs(features, params)
@@ -164,35 +187,73 @@ def fv_backward_params(
     sigma = np.sqrt(var)
     sqw = np.sqrt(w)
     sq2w = np.sqrt(2.0 * w)
+    direct_mu_coef = u_mu / (sqw[:, None] * sigma)  # (K, D)
+    direct_var_coef = 2.0 * u_var / sq2w[:, None]  # (K, D)
 
     d_w = np.zeros(k)
     d_mu = np.zeros((k, d))
     d_var = np.zeros((k, d))
+    d_x = np.empty((t, d))
 
     rows = gmm.CHUNK_ROWS
+    chunk = min(rows, t)
+    tile = max(1, min(TILE_VALUES // (k * d), chunk))
+    # row 0 of the alpha and alpha^2 buffers carries a running (K, D) sum,
+    # weighted by the 1.0 in row 0 of the gamma and h buffers
+    alpha_buf = np.empty((tile + 1, k, d))
+    sq_buf = np.empty((tile + 1, k, d))
+    beta_buf = np.empty((tile, k, d))
+    g_buf = np.ones((tile + 1, k))
+    h_buf = np.ones((tile + 1, k))
+    bp = np.empty((chunk, k))
+    cp = np.empty((chunk, k))
+    tot = np.empty(chunk)
+    direct_var = np.empty((chunk, d))
+
     for start in range(0, t, rows):
         x = features[start : start + rows]
         g = gamma[start : start + rows]
         c = x.shape[0]
-        alpha = (x[:, None, :] - mu[None]) / sigma[None]  # (c, K, D)
-        q = alpha * alpha - 1.0
+        ga = ga2 = ha = hq = None
+        for lo in range(0, c, tile):
+            hi = min(lo + tile, c)
+            n = hi - lo
+            alpha = alpha_buf[1 : n + 1]
+            sq = sq_buf[1 : n + 1]
+            beta = beta_buf[:n]
+            gt = g_buf[1 : n + 1]
+            gt[...] = g[lo:hi]
+            np.subtract(x[lo:hi, None, :], mu, out=alpha)
+            np.divide(alpha, var, out=beta)
+            np.divide(alpha, sigma, out=alpha)
+            np.multiply(alpha, alpha, out=sq)
+            ga = _row_sum(g_buf, alpha_buf, n, ga)
+            ga2 = _row_sum(g_buf, sq_buf, n, ga2)
+            sq -= 1.0  # q = alpha^2 - 1
 
-        bp = np.einsum("kd,ckd->ck", u_mu, alpha)
-        cp = np.einsum("kd,ckd->ck", u_var, q)
-        r = (u_w[None, :] + bp) / sqw[None, :] + cp / sq2w[None, :]
-        tot = np.einsum("ck,ck->c", g, r)
-        h = g * r - g * tot[:, None]
+            np.einsum("kd,ckd->ck", u_mu, alpha, out=bp[lo:hi])
+            np.einsum("kd,ckd->ck", u_var, sq, out=cp[lo:hi])
+            r = (u_w + bp[lo:hi]) / sqw + cp[lo:hi] / sq2w
+            np.einsum("ck,ck->c", gt, r, out=tot[lo:hi])
+            gr = gt * r
+            np.subtract(gr, gt * tot[lo:hi, None], out=h_buf[1 : n + 1])
+            ha = _row_sum(h_buf, alpha_buf, n, ha)
+            hq = _row_sum(h_buf, sq_buf, n, hq)
+
+            pooled = np.einsum("ck,cke->ce", gt, beta)
+            np.subtract(
+                pooled * gr.sum(axis=1)[:, None],
+                np.einsum("ck,cke->ce", gr, beta),
+                out=d_x[start + lo : start + hi],
+            )
+            beta *= direct_var_coef
+            np.einsum("ck,cke->ce", gt, beta, out=direct_var[lo:hi])
 
         s0c = g.sum(axis=0)
-        ga = np.einsum("ck,ckd->kd", g, alpha)
-        ga2 = np.einsum("ck,ckd->kd", g, alpha * alpha)
-        ha = np.einsum("ck,ckd->kd", h, alpha)
-        hq = np.einsum("ck,ckd->kd", h, q)
-
         d_w += u_w * (s0c - c * w) / (2.0 * w * sqw)
-        d_w += np.einsum("ck,ck->k", g, bp) / (2.0 * w * sqw)
-        d_w += np.einsum("ck,ck->k", g, cp) / (2.0 * w * sq2w)
-        d_w -= (g * tot[:, None]).sum(axis=0) / w
+        d_w += np.einsum("ck,ck->k", g, bp[:c]) / (2.0 * w * sqw)
+        d_w += np.einsum("ck,ck->k", g, cp[:c]) / (2.0 * w * sq2w)
+        d_w -= (g * tot[:c, None]).sum(axis=0) / w
 
         d_mu += (
             ha
@@ -203,59 +264,20 @@ def fv_backward_params(
             hq - u_mu * ga / sqw[:, None] - 2.0 * u_var * ga2 / sq2w[:, None]
         ) / (2.0 * var)
 
-    return d_w / t, d_mu / t, d_var / t
+        direct = g @ direct_mu_coef
+        direct += direct_var[:c]
+        d_x[start : start + c] += direct
+
+    d_x /= t
+    return d_w / t, d_mu / t, d_var / t, d_x
 
 
-def fv_backward_input(
-    features: np.ndarray,
-    params: GmmParams,
-    gamma: np.ndarray,
-    upstream: np.ndarray,
-) -> np.ndarray:
-    """Contract an upstream gradient against the input Jacobian.
-
-    Returns (T, D); point t only receives gradient through its own posterior
-    row and its own direct appearance in the encoding sums. Streamed over
-    the same fixed chunks as the parameter backward.
-    """
+def _onehot_backwards(features: np.ndarray, params: GmmParams) -> list[tuple]:
+    """fv_backward for each one-hot upstream, in encoding order."""
     features = _check_inputs(features, params)
-    t = features.shape[0]
-    k, d = params.n_components, params.dim
-    u_w, u_mu, u_var = split_blocks(np.asarray(upstream, dtype=np.float64), k, d)
-
-    w = params.weights
-    mu = params.means
-    var = params.variances
-    sigma = np.sqrt(var)
-    sqw = np.sqrt(w)
-    sq2w = np.sqrt(2.0 * w)
-
-    direct_mu_coef = u_mu / (sqw[:, None] * sigma)  # (K, D)
-    direct_var_coef = 2.0 * u_var / sq2w[:, None]  # (K, D)
-
-    out = np.empty((t, d))
-    rows = gmm.CHUNK_ROWS
-    for start in range(0, t, rows):
-        x = features[start : start + rows]
-        g = gamma[start : start + rows]
-        alpha = (x[:, None, :] - mu[None]) / sigma[None]
-        beta = (x[:, None, :] - mu[None]) / var[None]
-        q = alpha * alpha - 1.0
-
-        bp = np.einsum("kd,ckd->ck", u_mu, alpha)
-        cp = np.einsum("kd,ckd->ck", u_var, q)
-        r = (u_w[None, :] + bp) / sqw[None, :] + cp / sq2w[None, :]
-        gr = g * r
-        tot = gr.sum(axis=1)
-
-        pooled = np.einsum("ck,cke->ce", g, beta)
-        through_gamma = pooled * tot[:, None] - np.einsum("ck,cke->ce", gr, beta)
-        direct = g @ direct_mu_coef + np.einsum(
-            "ck,cke->ce", g, beta * direct_var_coef[None]
-        )
-        out[start : start + x.shape[0]] = through_gamma + direct
-
-    return out / t
+    gamma = posteriors(features, params)
+    eye = np.eye(fv_length(params.n_components, params.dim))
+    return [fv_backward(features, params, gamma, one_hot) for one_hot in eye]
 
 
 def fv_jacobian_params(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -265,30 +287,12 @@ def fv_jacobian_params(features: np.ndarray, params: GmmParams) -> np.ndarray:
     [weights | means | variances]. Built by contracting one-hot upstreams,
     so it exercises exactly the production backward path.
     """
-    features = _check_inputs(features, params)
-    k, d = params.n_components, params.dim
-    n = fv_length(k, d)
-    gamma = posteriors(features, params)
-    rows = np.empty((n, k + 2 * k * d))
-    one_hot = np.zeros(n)
-    for i in range(n):
-        one_hot[i] = 1.0
-        dw, dmu, dvar = fv_backward_params(features, params, gamma, one_hot)
-        rows[i] = np.concatenate([dw, dmu.ravel(), dvar.ravel()])
-        one_hot[i] = 0.0
-    return rows
+    return np.stack([
+        np.concatenate([dw, dmu.ravel(), dvar.ravel()])
+        for dw, dmu, dvar, _ in _onehot_backwards(features, params)
+    ])
 
 
 def fv_jacobian_input(features: np.ndarray, params: GmmParams) -> np.ndarray:
     """Full input Jacobian, shape ((2D+1)K, T * D). Debug sizes only."""
-    features = _check_inputs(features, params)
-    k, d = params.n_components, params.dim
-    n = fv_length(k, d)
-    gamma = posteriors(features, params)
-    rows = np.empty((n, features.size))
-    one_hot = np.zeros(n)
-    for i in range(n):
-        one_hot[i] = 1.0
-        rows[i] = fv_backward_input(features, params, gamma, one_hot).ravel()
-        one_hot[i] = 0.0
-    return rows
+    return np.stack([dx.ravel() for *_, dx in _onehot_backwards(features, params)])

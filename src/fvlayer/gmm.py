@@ -28,12 +28,13 @@ ZETA_LIMIT = 30.0
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Every pass that forms a (rows, K, D) intermediate (the E-step here, the
-# encoder's backward passes) streams over slabs of this many points, so that
-# intermediate never exceeds CHUNK_ROWS * K * D values whatever T is. What
-# still grows with T is O(T * K) or O(T * D): posteriors and per-point
-# outputs. Fixed so results are reproducible bit for bit regardless of
-# caller configuration.
+# Every pass that forms a (rows, K, D) intermediate streams over slabs of this
+# many points: the E-step here never exceeds CHUNK_ROWS * K * D values
+# whatever T is. The encoder's backward groups its parameter sums per slab
+# but walks each slab in tiles, so its memory is bounded by
+# fisher.TILE_VALUES instead. What still grows with T is O(T * K) or
+# O(T * D): posteriors and per-point outputs. Fixed so results are
+# reproducible bit for bit regardless of caller configuration.
 CHUNK_ROWS = 1024
 
 __all__ = [
@@ -232,6 +233,8 @@ def kmeans_init(
     ``features[assign == k].mean(axis=0)``. Both the weighted bincount used
     here and that axis-0 mean add rows sequentially in row order. For D == 1
     numpy's mean sums pairwise instead, so centroids agree to rounding only.
+    One departure: a re-seed skips the sole member of a cluster, which the
+    textbook loop would take, leaving that cluster empty with a NaN centroid.
     """
     features = _check_features(features)
     t, d = features.shape
@@ -253,10 +256,12 @@ def kmeans_init(
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=n_components)
         for k in range(n_components):
-            # empty cluster takes the point farthest from its center; counts
-            # stay live because a re-seed can empty a later cluster
+            # empty cluster takes the point farthest from its center among
+            # clusters of >= 2 members; one exists, as T >= K rows fill at
+            # most K - 1 clusters
             if counts[k] == 0:
-                worst = int(np.argmax(d2[np.arange(t), new_assign]))
+                far = d2[np.arange(t), new_assign]
+                worst = int(np.argmax(np.where(counts[new_assign] > 1, far, -np.inf)))
                 counts[new_assign[worst]] -= 1
                 counts[k] += 1
                 new_assign[worst] = k

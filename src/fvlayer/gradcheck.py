@@ -13,8 +13,7 @@ import numpy as np
 
 from .feature_layer import FeatureLayerParams, layer_backward, layer_forward, xavier_init
 from .fisher import (
-    fv_backward_input,
-    fv_backward_params,
+    fv_backward,
     fv_forward,
     fv_jacobian_input,
     fv_jacobian_params,
@@ -356,9 +355,8 @@ def check_end_to_end(
         encoded, gamma, _ = fv_forward(x, params)
         upstream_norm = -y * theta
         upstream_fv = norm_backward(encoded, upstream_norm)
-        d_w, d_mu, d_var = fv_backward_params(x, params, gamma, upstream_fv)
+        d_w, d_mu, d_var, d_x = fv_backward(x, params, gamma, upstream_fv)
         d_nu, d_zeta = reparam_backward(raw, d_w, d_var)
-        d_x = fv_backward_input(x, params, gamma, upstream_fv)
         dw_layer, db_layer, _ = layer_backward(xt, layer, d_x)
         g_nu += d_nu
         g_zeta += d_zeta

@@ -23,7 +23,7 @@ from .feature_layer import (
     layer_forward,
     xavier_init,
 )
-from .fisher import fv_backward_input, fv_backward_params, fv_forward
+from .fisher import fv_backward, fv_forward
 from .gmm import (
     GmmParams,
     RawGmmParams,
@@ -188,14 +188,13 @@ def _grad_chunk(
         }
         if update_gmm or update_layer:
             upstream_fv = norm_backward(fv, upstream_norm)
+            d_w, d_mu, d_var, d_x = fv_backward(x, params, gamma, upstream_fv)
             if update_gmm:
-                d_w, d_mu, d_var = fv_backward_params(x, params, gamma, upstream_fv)
                 d_nu, d_zeta = reparam_backward(raw, d_w, d_var)
                 entry["d_nu"] = d_nu
                 entry["d_zeta"] = d_zeta
                 entry["d_means"] = d_mu
             if update_layer:
-                d_x = fv_backward_input(x, params, gamma, upstream_fv)
                 d_weight, d_bias, _ = layer_backward(inputs, layer, d_x)
                 entry["d_weight"] = d_weight
                 entry["d_bias"] = d_bias
@@ -556,7 +555,7 @@ def shift_demo(
         upstreams = backward_signal(labels, svm)
         for i, cloud in enumerate(clouds):
             upstream_fv = norm_backward(raw_fvs[i], upstreams[i])
-            d_x = fv_backward_input(cloud, params, gammas[i], upstream_fv)
+            d_x = fv_backward(cloud, params, gammas[i], upstream_fv)[3]
             cloud -= eta * d_x
     return ShiftDemoResult(
         image_ids=[item.image_id for item in dataset.items],

@@ -184,7 +184,7 @@ def test_criterion_09a_backward_scales_linearly_in_t(capsys):
     factors = doubling_factors(rows)
     for factor in factors:
         assert 1.5 <= factor <= 2.5, f"doubling factor {factor:.3f}"
-    report(capsys, f"[criterion 9a] PASS: backward-params T-doubling factors "
+    report(capsys, f"[criterion 9a] PASS: backward T-doubling factors "
                    f"{[round(f, 3) for f in factors]} within [1.5, 2.5]")
 
 

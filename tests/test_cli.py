@@ -175,6 +175,6 @@ def test_bench_emits_csv_grid(capsys):
                        "--d", "4,8", "--repeats", "1")
     assert code == 0
     lines = [l for l in out.splitlines() if "," in l and not l.startswith("config")]
-    assert lines[0] == "t,k,d,threads,fwd_ms,bwd_params_ms,bwd_input_ms"
+    assert lines[0] == "t,k,d,threads,fwd_ms,bwd_ms"
     assert len(lines) == 1 + 2 * 2  # header + |t| * |d| rows
     assert lines[1].startswith("32,2,4,1,")

@@ -1,12 +1,14 @@
 """Encoding layer: forward agreement, invariances, backward vs oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fvlayer.fisher as fisher
 import fvlayer.gmm as gmm
 from fvlayer.fisher import (
-    fv_backward_input,
-    fv_backward_params,
+    fv_backward,
     fv_forward,
     fv_forward_naive,
     fv_jacobian_input,
@@ -138,7 +140,7 @@ def test_backward_input_matches_fd_directly():
 
     numeric = fd_jacobian(loss, feats.ravel())[0].reshape(3, 2)
     _, gamma, _ = fv_forward(feats, params)
-    analytic = fv_backward_input(feats, params, gamma, upstream)
+    analytic = fv_backward(feats, params, gamma, upstream)[3]
     assert max_rel_error(analytic, numeric) <= 1e-6
 
 
@@ -149,17 +151,17 @@ def test_backward_linear_in_upstream():
     u2 = rng.normal(size=fv_length(3, 2))
     separate = [
         np.concatenate([b.ravel() for b in
-                        fv_backward_params(feats, params, gamma, u)])
+                        fv_backward(feats, params, gamma, u)[:3]])
         for u in (u1, u2)
     ]
     combined = np.concatenate([
-        b.ravel() for b in fv_backward_params(feats, params, gamma, u1 + u2)])
+        b.ravel() for b in fv_backward(feats, params, gamma, u1 + u2)[:3]])
     np.testing.assert_allclose(combined, separate[0] + separate[1],
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        fv_backward_input(feats, params, gamma, u1 + u2),
-        fv_backward_input(feats, params, gamma, u1)
-        + fv_backward_input(feats, params, gamma, u2),
+        fv_backward(feats, params, gamma, u1 + u2)[3],
+        fv_backward(feats, params, gamma, u1)[3]
+        + fv_backward(feats, params, gamma, u2)[3],
         rtol=1e-12, atol=1e-12)
 
 
@@ -167,22 +169,148 @@ def test_backward_independent_of_chunk_size(monkeypatch):
     feats, params, rng = make_instance(3, 2, 50, seed=29)
     _, gamma, _ = fv_forward(feats, params)
     upstream = rng.normal(size=fv_length(3, 2))
-    base_p = fv_backward_params(feats, params, gamma, upstream)
-    base_x = fv_backward_input(feats, params, gamma, upstream)
+    base = fv_backward(feats, params, gamma, upstream)
     base_fit = em_fit(feats, params)
-    # one constant sets the slabs of the E-step and of both backward passes
+    # tiles inside a chunk carry their sums in row order: bit-equal
+    monkeypatch.setattr(fisher, "TILE_VALUES", 13)
+    tiled = fv_backward(feats, params, gamma, upstream)
+    for a, b in zip(base, tiled):
+        np.testing.assert_array_equal(b, a)
+    # one constant sets the slabs of the E-step and of the backward pass
     monkeypatch.setattr(gmm, "CHUNK_ROWS", 7)
-    chunked_p = fv_backward_params(feats, params, gamma, upstream)
-    chunked_x = fv_backward_input(feats, params, gamma, upstream)
-    for a, b in zip(base_p, chunked_p):
+    chunked = fv_backward(feats, params, gamma, upstream)
+    for a, b in zip(base, chunked):
         np.testing.assert_allclose(b, a, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(chunked_x, base_x, rtol=1e-13, atol=1e-13)
     # the E-step's rows do not depend on their slab, so it is bit-equal
     np.testing.assert_array_equal(posteriors(feats, params), gamma)
     chunked_fit = em_fit(feats, params)
     np.testing.assert_array_equal(chunked_fit.weights, base_fit.weights)
     np.testing.assert_array_equal(chunked_fit.means, base_fit.means)
     np.testing.assert_array_equal(chunked_fit.variances, base_fit.variances)
+
+
+# Frozen copies of the two backward kernels that fv_backward replaced. They
+# stream (chunk, K, D) arrays per CHUNK_ROWS chunk; the single pass must
+# reproduce them bit for bit. Kept here only as the reference.
+def _reference_backward_params(features, params, gamma, upstream):
+    t = features.shape[0]
+    k, d = params.n_components, params.dim
+    u_w, u_mu, u_var = split_blocks(upstream, k, d)
+    w, mu, var = params.weights, params.means, params.variances
+    sigma = np.sqrt(var)
+    sqw = np.sqrt(w)
+    sq2w = np.sqrt(2.0 * w)
+    d_w = np.zeros(k)
+    d_mu = np.zeros((k, d))
+    d_var = np.zeros((k, d))
+    rows = gmm.CHUNK_ROWS
+    for start in range(0, t, rows):
+        x = features[start : start + rows]
+        g = gamma[start : start + rows]
+        c = x.shape[0]
+        alpha = (x[:, None, :] - mu[None]) / sigma[None]
+        q = alpha * alpha - 1.0
+        bp = np.einsum("kd,ckd->ck", u_mu, alpha)
+        cp = np.einsum("kd,ckd->ck", u_var, q)
+        r = (u_w[None, :] + bp) / sqw[None, :] + cp / sq2w[None, :]
+        tot = np.einsum("ck,ck->c", g, r)
+        h = g * r - g * tot[:, None]
+        s0c = g.sum(axis=0)
+        ga = np.einsum("ck,ckd->kd", g, alpha)
+        ga2 = np.einsum("ck,ckd->kd", g, alpha * alpha)
+        ha = np.einsum("ck,ckd->kd", h, alpha)
+        hq = np.einsum("ck,ckd->kd", h, q)
+        d_w += u_w * (s0c - c * w) / (2.0 * w * sqw)
+        d_w += np.einsum("ck,ck->k", g, bp) / (2.0 * w * sqw)
+        d_w += np.einsum("ck,ck->k", g, cp) / (2.0 * w * sq2w)
+        d_w -= (g * tot[:, None]).sum(axis=0) / w
+        d_mu += (
+            ha - u_mu * (s0c / sqw)[:, None] - 2.0 * u_var * ga / sq2w[:, None]
+        ) / sigma
+        d_var += (
+            hq - u_mu * ga / sqw[:, None] - 2.0 * u_var * ga2 / sq2w[:, None]
+        ) / (2.0 * var)
+    return d_w / t, d_mu / t, d_var / t
+
+
+def _reference_backward_input(features, params, gamma, upstream):
+    t = features.shape[0]
+    k, d = params.n_components, params.dim
+    u_w, u_mu, u_var = split_blocks(upstream, k, d)
+    w, mu, var = params.weights, params.means, params.variances
+    sigma = np.sqrt(var)
+    sqw = np.sqrt(w)
+    sq2w = np.sqrt(2.0 * w)
+    direct_mu_coef = u_mu / (sqw[:, None] * sigma)
+    direct_var_coef = 2.0 * u_var / sq2w[:, None]
+    out = np.empty((t, d))
+    rows = gmm.CHUNK_ROWS
+    for start in range(0, t, rows):
+        x = features[start : start + rows]
+        g = gamma[start : start + rows]
+        alpha = (x[:, None, :] - mu[None]) / sigma[None]
+        beta = (x[:, None, :] - mu[None]) / var[None]
+        q = alpha * alpha - 1.0
+        bp = np.einsum("kd,ckd->ck", u_mu, alpha)
+        cp = np.einsum("kd,ckd->ck", u_var, q)
+        r = (u_w[None, :] + bp) / sqw[None, :] + cp / sq2w[None, :]
+        gr = g * r
+        tot = gr.sum(axis=1)
+        pooled = np.einsum("ck,cke->ce", g, beta)
+        through_gamma = pooled * tot[:, None] - np.einsum("ck,cke->ce", gr, beta)
+        direct = g @ direct_mu_coef + np.einsum(
+            "ck,cke->ce", g, beta * direct_var_coef[None]
+        )
+        out[start : start + x.shape[0]] = through_gamma + direct
+    return out / t
+
+
+@pytest.mark.parametrize(
+    "t,k,d,scale,offset",
+    [
+        (200, 16, 32, 1.0, 0.0),  # one tile
+        (1000, 16, 32, 1.0, 0.0),  # several tiles in one chunk
+        (2500, 16, 32, 1.0, 0.0),  # T > CHUNK_ROWS, short last chunk
+        (769, 16, 32, 1.0, 0.0),  # last tile of one row
+        (2049, 1, 1, 1.0, 0.0),  # K = D = 1: one tile per chunk
+        (5, 300, 500, 1.0, 0.0),  # K * D above the tile budget
+        (1100, 129, 3, 2.0, 0.0),  # several tiles, T > CHUNK_ROWS
+        (1000, 16, 32, 100.0, 1e3),  # off-centre
+        (1000, 16, 32, 0.3, -50.0),  # off-centre, narrow
+        (600, 8, 64, 1e-3, 1e4),  # badly scaled
+    ],
+)
+def test_backward_bit_identical_to_reference_kernels(t, k, d, scale, offset):
+    rng = np.random.default_rng(t * 31 + k * 7 + d)
+    params = GmmParams(
+        weights=rng.dirichlet(np.full(k, 3.0)),
+        means=offset + scale * rng.normal(size=(k, d)),
+        variances=scale**2 * rng.uniform(0.3, 2.0, size=(k, d)),
+    )
+    feats = offset + scale * rng.normal(size=(t, d))
+    upstream = rng.normal(size=fv_length(k, d))
+    _, gamma, _ = fv_forward(feats, params)
+    d_w, d_mu, d_var, d_x = fv_backward(feats, params, gamma, upstream)
+    ref_w, ref_mu, ref_var = _reference_backward_params(feats, params, gamma, upstream)
+    np.testing.assert_array_equal(d_w, ref_w)
+    np.testing.assert_array_equal(d_mu, ref_mu)
+    np.testing.assert_array_equal(d_var, ref_var)
+    np.testing.assert_array_equal(
+        d_x, _reference_backward_input(feats, params, gamma, upstream))
+
+
+def test_backward_memory_bounded_by_tile_budget():
+    # whole-chunk (rows, K, D) temporaries would take ~200 MiB at this size
+    feats, params, rng = make_instance(128, 64, 1500, seed=37)
+    _, gamma, _ = fv_forward(feats, params)
+    upstream = rng.normal(size=fv_length(128, 64))
+    tracemalloc.start()
+    try:
+        fv_backward(feats, params, gamma, upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_jacobians_match_onehot_backward():
@@ -196,12 +324,12 @@ def test_jacobians_match_onehot_backward():
     for i in (0, n // 2, n - 1):
         one_hot = np.zeros(n)
         one_hot[i] = 1.0
-        d_w, d_mu, d_var = fv_backward_params(feats, params, gamma, one_hot)
+        d_w, d_mu, d_var, d_x = fv_backward(feats, params, gamma, one_hot)
         np.testing.assert_allclose(
             jp[i], np.concatenate([d_w, d_mu.ravel(), d_var.ravel()]),
             rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(
-            jx[i], fv_backward_input(feats, params, gamma, one_hot).ravel(),
+            jx[i], d_x.ravel(),
             rtol=1e-13, atol=1e-15)
 
 

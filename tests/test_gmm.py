@@ -222,6 +222,21 @@ def test_kmeans_bit_identical_to_reference_loop_on_near_ties(seed, capped):
     _assert_same_mixture(kmeans_init(feats, 6, seed), expected)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_kmeans_reseed_never_empties_a_visited_cluster(seed):
+    # 6 rows 1e-6 apart at an offset of 100: assignments are rounding noise,
+    # so re-seeds keep firing; a re-seed that took a sole member would leave
+    # an earlier cluster empty with a NaN centroid on all 8 seeds
+    rng = np.random.default_rng(seed)
+    rows = 100.0 + 1e-6 * rng.normal(size=(6, 2))
+    feats = rows[rng.integers(0, 6, size=80)]
+    params = kmeans_init(feats, 6, seed)
+    members = params.weights * 80
+    np.testing.assert_allclose(members, np.round(members), rtol=0, atol=1e-9)
+    assert np.all(np.round(members) >= 1)
+    assert np.all(np.isfinite(params.means))
+
+
 def test_kmeans_one_dimensional_matches_reference_loop_to_rounding():
     # for (n, 1) input numpy's axis-0 mean coalesces to a 1-D pairwise sum,
     # whereas kmeans_init adds rows in order, so centroids may differ in the
