@@ -21,6 +21,8 @@ from .gmm import (
 from .fisher import (
     SufficientStats,
     fv_backward,
+    fv_backward_input,
+    fv_backward_params,
     fv_forward,
     fv_forward_naive,
     fv_length,

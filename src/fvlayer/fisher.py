@@ -19,9 +19,8 @@ import numpy as np
 from . import gmm
 from .gmm import GmmParams, posteriors
 
-# The backward walks each CHUNK_ROWS chunk in tiles of at most this many
-# (rows, K, D) values (1 MiB of float64 per buffer), so its working set stays
-# in cache and its memory is bounded by this budget, not by CHUNK_ROWS * K * D.
+# The backward walks each CHUNK_ROWS chunk in cache-sized tiles of at most
+# this many (rows, K, D) values: 1 MiB of float64 per buffer.
 TILE_VALUES = 131072
 
 __all__ = [
@@ -30,6 +29,8 @@ __all__ = [
     "fv_forward",
     "fv_forward_naive",
     "fv_backward",
+    "fv_backward_params",
+    "fv_backward_input",
     "fv_jacobian_params",
     "fv_jacobian_input",
     "split_blocks",
@@ -142,12 +143,8 @@ def fv_forward_naive(features: np.ndarray, params: GmmParams) -> np.ndarray:
 
 
 def _row_sum(lhs: np.ndarray, rhs: np.ndarray, n: int, carry) -> np.ndarray:
-    """einsum("ck,ckd->kd") over rows 1..n of two tile buffers.
-
-    A non-None carry is written to the reserved row 0 of rhs, whose row-0
-    weight in lhs is 1.0, so the sum continues the carry in row order as
-    one einsum over all rows so far would.
-    """
+    """einsum("ck,ckd->kd") over rows 1..n of two tile buffers, continuing a
+    non-None carry in row order: it goes in rhs's row 0, weighted 1.0 in lhs."""
     if carry is None:
         return np.einsum("ck,ckd->kd", lhs[1 : n + 1], rhs[1 : n + 1])
     rhs[0] = carry
@@ -169,30 +166,37 @@ def fv_backward(
     its own direct appearance in the encoding sums.
 
     One pass computes every per-point term once. Parameter sums are grouped
-    per CHUNK_ROWS-row chunk in ascending order. Inside a chunk, rows are
-    walked in tiles of at most TILE_VALUES (rows, K, D) values, and each
-    (K, D) sum is carried across tiles in row order, so it matches one
-    einsum over the whole chunk bit for bit. Memory is O(T * D +
-    CHUNK_ROWS * K) plus three tile buffers; nothing of size
-    T * (2D+1)K * (2D+1)K is ever formed.
+    per CHUNK_ROWS chunk and carried across its tiles of at most TILE_VALUES
+    (rows, K, D) values in row order, so they match one einsum per chunk bit
+    for bit. Memory is O(T * D + CHUNK_ROWS * K) plus three tile buffers.
     """
+    return _backward(features, params, gamma, upstream, want_input=True)
+
+
+def fv_backward_params(features, params, gamma, upstream) -> tuple:
+    """(d_weights, d_means, d_variances) of fv_backward, skipping d_features."""
+    return _backward(features, params, gamma, upstream, want_input=False)[:3]
+
+
+def fv_backward_input(features, params, gamma, upstream) -> np.ndarray:
+    """d_features (T, D) of fv_backward."""
+    return fv_backward(features, params, gamma, upstream)[3]
+
+
+def _backward(features, params, gamma, upstream, want_input: bool) -> tuple:
     features = _check_inputs(features, params)
     t = features.shape[0]
     k, d = params.n_components, params.dim
     u_w, u_mu, u_var = split_blocks(np.asarray(upstream, dtype=np.float64), k, d)
 
-    w = params.weights
-    mu = params.means
-    var = params.variances
+    w, mu, var = params.weights, params.means, params.variances
     sigma = np.sqrt(var)
     sqw = np.sqrt(w)
     sq2w = np.sqrt(2.0 * w)
     direct_mu_coef = u_mu / (sqw[:, None] * sigma)  # (K, D)
     direct_var_coef = 2.0 * u_var / sq2w[:, None]  # (K, D)
 
-    d_w = np.zeros(k)
-    d_mu = np.zeros((k, d))
-    d_var = np.zeros((k, d))
+    d_w, d_mu, d_var = np.zeros(k), np.zeros((k, d)), np.zeros((k, d))
     d_x = np.empty((t, d))
 
     rows = gmm.CHUNK_ROWS
@@ -200,13 +204,10 @@ def fv_backward(
     tile = max(1, min(TILE_VALUES // (k * d), chunk))
     # row 0 of the alpha and alpha^2 buffers carries a running (K, D) sum,
     # weighted by the 1.0 in row 0 of the gamma and h buffers
-    alpha_buf = np.empty((tile + 1, k, d))
-    sq_buf = np.empty((tile + 1, k, d))
+    alpha_buf, sq_buf = np.empty((2, tile + 1, k, d))
     beta_buf = np.empty((tile, k, d))
-    g_buf = np.ones((tile + 1, k))
-    h_buf = np.ones((tile + 1, k))
-    bp = np.empty((chunk, k))
-    cp = np.empty((chunk, k))
+    g_buf, h_buf = np.ones((2, tile + 1, k))
+    bp, cp = np.empty((chunk, k)), np.empty((chunk, k))
     tot = np.empty(chunk)
     direct_var = np.empty((chunk, d))
 
@@ -224,7 +225,8 @@ def fv_backward(
             gt = g_buf[1 : n + 1]
             gt[...] = g[lo:hi]
             np.subtract(x[lo:hi, None, :], mu, out=alpha)
-            np.divide(alpha, var, out=beta)
+            if want_input:
+                np.divide(alpha, var, out=beta)
             np.divide(alpha, sigma, out=alpha)
             np.multiply(alpha, alpha, out=sq)
             ga = _row_sum(g_buf, alpha_buf, n, ga)
@@ -240,14 +242,15 @@ def fv_backward(
             ha = _row_sum(h_buf, alpha_buf, n, ha)
             hq = _row_sum(h_buf, sq_buf, n, hq)
 
-            pooled = np.einsum("ck,cke->ce", gt, beta)
-            np.subtract(
-                pooled * gr.sum(axis=1)[:, None],
-                np.einsum("ck,cke->ce", gr, beta),
-                out=d_x[start + lo : start + hi],
-            )
-            beta *= direct_var_coef
-            np.einsum("ck,cke->ce", gt, beta, out=direct_var[lo:hi])
+            if want_input:
+                pooled = np.einsum("ck,cke->ce", gt, beta)
+                np.subtract(
+                    pooled * gr.sum(axis=1)[:, None],
+                    np.einsum("ck,cke->ce", gr, beta),
+                    out=d_x[start + lo : start + hi],
+                )
+                beta *= direct_var_coef
+                np.einsum("ck,cke->ce", gt, beta, out=direct_var[lo:hi])
 
         s0c = g.sum(axis=0)
         d_w += u_w * (s0c - c * w) / (2.0 * w * sqw)
@@ -256,17 +259,16 @@ def fv_backward(
         d_w -= (g * tot[:c, None]).sum(axis=0) / w
 
         d_mu += (
-            ha
-            - u_mu * (s0c / sqw)[:, None]
-            - 2.0 * u_var * ga / sq2w[:, None]
+            ha - u_mu * (s0c / sqw)[:, None] - 2.0 * u_var * ga / sq2w[:, None]
         ) / sigma
         d_var += (
             hq - u_mu * ga / sqw[:, None] - 2.0 * u_var * ga2 / sq2w[:, None]
         ) / (2.0 * var)
 
-        direct = g @ direct_mu_coef
-        direct += direct_var[:c]
-        d_x[start : start + c] += direct
+        if want_input:
+            direct = g @ direct_mu_coef
+            direct += direct_var[:c]
+            d_x[start : start + c] += direct
 
     d_x /= t
     return d_w / t, d_mu / t, d_var / t, d_x

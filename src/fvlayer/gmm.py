@@ -28,13 +28,11 @@ ZETA_LIMIT = 30.0
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Every pass that forms a (rows, K, D) intermediate streams over slabs of this
-# many points: the E-step here never exceeds CHUNK_ROWS * K * D values
-# whatever T is. The encoder's backward groups its parameter sums per slab
-# but walks each slab in tiles, so its memory is bounded by
-# fisher.TILE_VALUES instead. What still grows with T is O(T * K) or
-# O(T * D): posteriors and per-point outputs. Fixed so results are
-# reproducible bit for bit regardless of caller configuration.
+# Passes that form (rows, K, D) intermediates stream over slabs of this many
+# points: the E-step's never exceeds CHUNK_ROWS * K * D values, and the
+# encoder's backward groups its sums per slab but walks it in tiles of
+# fisher.TILE_VALUES. What still grows with T is O(T * K) or O(T * D).
+# Fixed so results are reproducible bit for bit.
 CHUNK_ROWS = 1024
 
 __all__ = [
@@ -233,8 +231,9 @@ def kmeans_init(
     ``features[assign == k].mean(axis=0)``. Both the weighted bincount used
     here and that axis-0 mean add rows sequentially in row order. For D == 1
     numpy's mean sums pairwise instead, so centroids agree to rounding only.
-    One departure: a re-seed skips the sole member of a cluster, which the
-    textbook loop would take, leaving that cluster empty with a NaN centroid.
+    One departure: a re-seed never takes a cluster's sole member. The
+    textbook loop does, and then always passes through an empty cluster
+    with a NaN centroid; only on such inputs do the two differ.
     """
     features = _check_features(features)
     t, d = features.shape
@@ -257,8 +256,7 @@ def kmeans_init(
         counts = np.bincount(new_assign, minlength=n_components)
         for k in range(n_components):
             # empty cluster takes the point farthest from its center among
-            # clusters of >= 2 members; one exists, as T >= K rows fill at
-            # most K - 1 clusters
+            # clusters of >= 2 members (one exists, as T >= K)
             if counts[k] == 0:
                 far = d2[np.arange(t), new_assign]
                 worst = int(np.argmax(np.where(counts[new_assign] > 1, far, -np.inf)))

@@ -3,10 +3,8 @@
 Work is split into contiguous chunks of items, one chunk per worker process,
 and the per-item results are concatenated back in submission order. Every
 item's computation is independent of which worker ran it, so results are
-identical for any worker count as long as every process runs BLAS with the
-same thread count: BLAS products such as those in the feature layer's
-backward round differently with 1 and 2 threads, so pinning worker BLAS
-threads below the parent's breaks byte identity with a serial run.
+identical for any worker count if every process runs BLAS with the same
+thread count: BLAS products round differently with 1 and 2 threads.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .feature_layer import (
     layer_forward,
     xavier_init,
 )
-from .fisher import fv_backward, fv_forward
+from .fisher import fv_backward, fv_backward_input, fv_backward_params, fv_forward
 from .gmm import (
     GmmParams,
     RawGmmParams,
@@ -188,7 +188,10 @@ def _grad_chunk(
         }
         if update_gmm or update_layer:
             upstream_fv = norm_backward(fv, upstream_norm)
-            d_w, d_mu, d_var, d_x = fv_backward(x, params, gamma, upstream_fv)
+            if update_layer:
+                d_w, d_mu, d_var, d_x = fv_backward(x, params, gamma, upstream_fv)
+            else:
+                d_w, d_mu, d_var = fv_backward_params(x, params, gamma, upstream_fv)
             if update_gmm:
                 d_nu, d_zeta = reparam_backward(raw, d_w, d_var)
                 entry["d_nu"] = d_nu
@@ -555,7 +558,7 @@ def shift_demo(
         upstreams = backward_signal(labels, svm)
         for i, cloud in enumerate(clouds):
             upstream_fv = norm_backward(raw_fvs[i], upstreams[i])
-            d_x = fv_backward(cloud, params, gammas[i], upstream_fv)[3]
+            d_x = fv_backward_input(cloud, params, gammas[i], upstream_fv)
             cloud -= eta * d_x
     return ShiftDemoResult(
         image_ids=[item.image_id for item in dataset.items],

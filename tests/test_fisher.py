@@ -9,6 +9,8 @@ import fvlayer.fisher as fisher
 import fvlayer.gmm as gmm
 from fvlayer.fisher import (
     fv_backward,
+    fv_backward_input,
+    fv_backward_params,
     fv_forward,
     fv_forward_naive,
     fv_jacobian_input,
@@ -176,6 +178,8 @@ def test_backward_independent_of_chunk_size(monkeypatch):
     tiled = fv_backward(feats, params, gamma, upstream)
     for a, b in zip(base, tiled):
         np.testing.assert_array_equal(b, a)
+    for a, b in zip(base, fv_backward_params(feats, params, gamma, upstream)):
+        np.testing.assert_array_equal(b, a)
     # one constant sets the slabs of the E-step and of the backward pass
     monkeypatch.setattr(gmm, "CHUNK_ROWS", 7)
     chunked = fv_backward(feats, params, gamma, upstream)
@@ -295,8 +299,14 @@ def test_backward_bit_identical_to_reference_kernels(t, k, d, scale, offset):
     np.testing.assert_array_equal(d_w, ref_w)
     np.testing.assert_array_equal(d_mu, ref_mu)
     np.testing.assert_array_equal(d_var, ref_var)
+    ref_x = _reference_backward_input(feats, params, gamma, upstream)
+    np.testing.assert_array_equal(d_x, ref_x)
+    # the params-only pass skips the d_features work, not a bit of the sums
+    for got, ref in zip(fv_backward_params(feats, params, gamma, upstream),
+                        (ref_w, ref_mu, ref_var)):
+        np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(
-        d_x, _reference_backward_input(feats, params, gamma, upstream))
+        fv_backward_input(feats, params, gamma, upstream), ref_x)
 
 
 def test_backward_memory_bounded_by_tile_budget():

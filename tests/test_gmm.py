@@ -237,6 +237,21 @@ def test_kmeans_reseed_never_empties_a_visited_cluster(seed):
     assert np.all(np.isfinite(params.means))
 
 
+def test_kmeans_reseed_skips_the_sole_member_of_a_later_cluster(monkeypatch):
+    # cluster 0 starts empty and (13, 0), the sole member of cluster 2, is the
+    # farthest point from its center. The textbook loop takes it; re-seeding
+    # cluster 2 then takes it back, now 87 from center 0, and the mean of the
+    # emptied cluster 0 warns. kmeans_init takes (1, 0) from cluster 1.
+    feats = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0], [1.0, 0.0], [13.0, 0.0]])
+    centers = np.array([[100.0, 0.0], [0.0, 0.0], [10.0, 0.0]])
+    monkeypatch.setattr(gmm, "_kmeanspp_centers", lambda *_: centers.copy())
+    with pytest.warns(RuntimeWarning, match="empty slice"), np.errstate(invalid="ignore"):
+        _reference_kmeans_init(feats, 3, seed=0)
+    params = kmeans_init(feats, 3, seed=0)
+    np.testing.assert_allclose(params.weights * 5, [2.0, 2.0, 1.0], rtol=1e-12)
+    np.testing.assert_array_equal(params.means, [[0.75, 0.0], [-0.25, 0.0], [13.0, 0.0]])
+
+
 def test_kmeans_one_dimensional_matches_reference_loop_to_rounding():
     # for (n, 1) input numpy's axis-0 mean coalesces to a 1-D pairwise sum,
     # whereas kmeans_init adds rows in order, so centroids may differ in the
