@@ -12,7 +12,6 @@ from .gmm import (
     VARIANCE_FLOOR,
     em_fit,
     kmeans_init,
-    log_gaussian,
     posteriors,
     raw_from_params,
     reparam_backward,
@@ -24,7 +23,6 @@ from .fisher import (
     fv_backward_input,
     fv_backward_params,
     fv_forward,
-    fv_forward_naive,
     fv_length,
 )
 from .normalization import NormConfig, norm_backward, norm_forward
@@ -58,11 +56,11 @@ from .data_io import (
     write_features,
 )
 from .pipeline import (
+    Encoder,
     EvalReport,
     TrainConfig,
     TrainMode,
     TrainState,
-    evaluate,
     evaluate_checkpoint,
     shift_demo,
     train,

@@ -2,13 +2,12 @@
 
 Two measurements matter here: how the backward pass scales with
 the number of points per image, and how much batch-level parallelism buys
-when several images are encoded at once.  Results go to a small CSV so
+when several images are encoded at once.  Results format as a small CSV so
 they can be plotted or diffed between machines.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from .fisher import fv_backward, fv_forward
 from .gmm import GmmParams
-from .normalization import norm_forward
 from .parallel import map_chunks
+from .pipeline import Encoder, _encode_chunk
 
 CSV_FIELDS = ("t", "k", "d", "threads", "fwd_ms", "bwd_ms")
 
@@ -89,38 +88,23 @@ def doubling_factors(rows: list[BenchRow]) -> list[float]:
     return [cur.bwd_ms / max(prev.bwd_ms, 1e-9) for prev, cur in zip(rows, rows[1:])]
 
 
-def _encode_batch_chunk(chunk: list[np.ndarray], params: GmmParams) -> list[np.ndarray]:
-    out = []
-    for features in chunk:
-        encoding, _, _ = fv_forward(features, params)
-        out.append(norm_forward(encoding))
-    return out
-
-
 def batch_speedup(n_images: int = 24, t: int = 2000, k: int = 16, d: int = 32,
                   workers: int = 4, seed: int = 0,
                   repeats: int = 3) -> tuple[float, float, float]:
     """Times a batch encode with 1 worker and with `workers`; returns (ms1, msN, ratio)."""
     rng = np.random.default_rng(seed)
     _, params, _ = _random_instance(4, k, d, seed)
+    encoder = Encoder(params)
     images = [rng.normal(size=(t, d)) for _ in range(n_images)]
 
     def run(n_workers: int) -> float:
         return _median_ms(
-            lambda: map_chunks(_encode_batch_chunk, images, (params,), n_workers),
+            lambda: map_chunks(_encode_chunk, images, (encoder,), n_workers),
             repeats)
 
     ms_serial = run(1)
     ms_parallel = run(workers)
     return ms_serial, ms_parallel, ms_serial / max(ms_parallel, 1e-9)
-
-
-def write_csv(path: str, rows: list[BenchRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for row in rows:
-            writer.writerow(row.as_csv())
 
 
 def format_csv(rows: list[BenchRow]) -> str:

@@ -119,8 +119,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_checkpoint(args.checkpoint, state.to_checkpoint())
     last = state.metrics[-1]
     print(f"train: {state.epoch} joint epochs, {state.batches_done} batches, "
-          f"{state.starved_events} starved components, "
-          f"{state.projection_ops} projections")
+          f"{state.starved_events} starved components")
     print(f"train: final mean loss {_float_cell(last[6])}, "
           f"wrote {args.checkpoint} and {args.metrics}")
     return 0

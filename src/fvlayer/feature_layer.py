@@ -15,6 +15,7 @@ __all__ = [
     "FeatureLayerParams",
     "ATANH_MARGIN",
     "xavier_init",
+    "clamp_features",
     "invert_features",
     "layer_forward",
     "layer_backward",
@@ -56,21 +57,27 @@ def xavier_init(dim: int, seed: int) -> FeatureLayerParams:
     raise ValueError(f"could not draw a well-conditioned {dim}x{dim} weight")
 
 
+def clamp_features(features: np.ndarray) -> np.ndarray:
+    """Features as float64, clamped to magnitude 1 - ATANH_MARGIN for atanh."""
+    return np.clip(
+        np.asarray(features, dtype=np.float64), -(1.0 - ATANH_MARGIN), 1.0 - ATANH_MARGIN
+    )
+
+
 def invert_features(
     features: np.ndarray, params: FeatureLayerParams
 ) -> np.ndarray:
     """Solve tanh(W x~ + b) = x for x~, row-wise.
 
-    Features are clamped to magnitude 1 - ATANH_MARGIN before atanh. One
-    factorization of W covers all rows.
+    Features go through clamp_features before atanh. One factorization of W
+    covers all rows.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.dim:
         raise ValueError(
             f"features must have shape (T, {params.dim}), got {features.shape}"
         )
-    clamped = np.clip(features, -(1.0 - ATANH_MARGIN), 1.0 - ATANH_MARGIN)
-    target = np.arctanh(clamped) - params.bias
+    target = np.arctanh(clamp_features(features)) - params.bias
     try:
         return np.linalg.solve(params.weight, target.T).T
     except np.linalg.LinAlgError as exc:

@@ -1,9 +1,9 @@
 """Fisher-vector encoding of a point set under a diagonal GMM.
 
-Forward pass through three sufficient statistics, a naive per-point oracle
-for testing, and analytic backward passes with respect to both the mixture
-parameters and the input points. The encoding of T points in D dimensions
-under K components has length (2D + 1) * K, laid out as
+Forward pass through three sufficient statistics and one analytic backward
+pass with respect to both the mixture parameters and the input points. The
+encoding of T points in D dimensions under K components has length
+(2D + 1) * K, laid out as
 
     [ weight block (K) | mean block (K * D) | variance block (K * D) ]
 
@@ -27,12 +27,9 @@ __all__ = [
     "SufficientStats",
     "fv_length",
     "fv_forward",
-    "fv_forward_naive",
     "fv_backward",
     "fv_backward_params",
     "fv_backward_input",
-    "fv_jacobian_params",
-    "fv_jacobian_input",
     "split_blocks",
 ]
 
@@ -118,28 +115,6 @@ def fv_forward(
     )
     encoding = np.concatenate([f_w, f_mu.ravel(), f_var.ravel()])
     return encoding, gamma, stats
-
-
-def fv_forward_naive(features: np.ndarray, params: GmmParams) -> np.ndarray:
-    """Literal per-point accumulation of the encoding. Test oracle only."""
-    features = _check_inputs(features, params)
-    t = features.shape[0]
-    k, d = params.n_components, params.dim
-    sigma = np.sqrt(params.variances)
-    acc_w = np.zeros(k)
-    acc_mu = np.zeros((k, d))
-    acc_var = np.zeros((k, d))
-    for i in range(t):
-        g = posteriors(features[i : i + 1], params)[0]
-        a = (features[i] - params.means) / sigma
-        acc_w += g - params.weights
-        acc_mu += g[:, None] * a
-        acc_var += g[:, None] * (a * a - 1.0) / np.sqrt(2.0)
-    sqw = np.sqrt(params.weights)
-    f_w = acc_w / (t * sqw)
-    f_mu = acc_mu / (t * sqw[:, None])
-    f_var = acc_var / (t * sqw[:, None])
-    return np.concatenate([f_w, f_mu.ravel(), f_var.ravel()])
 
 
 def _row_sum(lhs: np.ndarray, rhs: np.ndarray, n: int, carry) -> np.ndarray:
@@ -272,29 +247,3 @@ def _backward(features, params, gamma, upstream, want_input: bool) -> tuple:
 
     d_x /= t
     return d_w / t, d_mu / t, d_var / t, d_x
-
-
-def _onehot_backwards(features: np.ndarray, params: GmmParams) -> list[tuple]:
-    """fv_backward for each one-hot upstream, in encoding order."""
-    features = _check_inputs(features, params)
-    gamma = posteriors(features, params)
-    eye = np.eye(fv_length(params.n_components, params.dim))
-    return [fv_backward(features, params, gamma, one_hot) for one_hot in eye]
-
-
-def fv_jacobian_params(features: np.ndarray, params: GmmParams) -> np.ndarray:
-    """Full parameter Jacobian, shape ((2D+1)K, K + 2KD). Debug sizes only.
-
-    Row i is the gradient of encoding entry i; columns are packed as
-    [weights | means | variances]. Built by contracting one-hot upstreams,
-    so it exercises exactly the production backward path.
-    """
-    return np.stack([
-        np.concatenate([dw, dmu.ravel(), dvar.ravel()])
-        for dw, dmu, dvar, _ in _onehot_backwards(features, params)
-    ])
-
-
-def fv_jacobian_input(features: np.ndarray, params: GmmParams) -> np.ndarray:
-    """Full input Jacobian, shape ((2D+1)K, T * D). Debug sizes only."""
-    return np.stack([dx.ravel() for *_, dx in _onehot_backwards(features, params)])

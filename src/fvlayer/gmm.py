@@ -1,9 +1,8 @@
 """Diagonal-covariance Gaussian mixtures.
 
-Fitting (k-means++ seeding plus EM), log-domain posterior computation,
-posterior derivatives, and the unconstrained reparameterization that lets
-mixture weights and variances be trained by plain gradient steps without
-projection.
+Fitting (k-means++ seeding plus EM), log-domain posterior computation, and
+the unconstrained reparameterization that lets mixture weights and variances
+be trained by plain gradient steps without projection.
 """
 
 from __future__ import annotations
@@ -42,15 +41,12 @@ __all__ = [
     "ZETA_LIMIT",
     "GmmParams",
     "RawGmmParams",
-    "log_gaussian",
     "posteriors",
     "kmeans_init",
     "em_fit",
     "reparam_forward",
     "reparam_backward",
     "raw_from_params",
-    "posterior_grad_input",
-    "posterior_grad_params",
 ]
 
 
@@ -144,13 +140,6 @@ def _check_features(features: np.ndarray, dim: int | None = None) -> np.ndarray:
             f"feature dimension {features.shape[1]} does not match mixture dim {dim}"
         )
     return features
-
-
-def log_gaussian(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
-    """Log-density of a diagonal Gaussian at a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    d = (x - mean) ** 2 / variance
-    return float(-0.5 * np.sum(LOG_2PI + np.log(variance) + d))
 
 
 def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -403,54 +392,3 @@ def raw_from_params(params: GmmParams, epsilon: float = VARIANCE_FLOOR) -> RawGm
     floored = np.maximum(params.variances, epsilon + 1e-12)
     zeta = np.log(floored - epsilon)
     return RawGmmParams(nu, zeta, params.means.copy(), epsilon)
-
-
-def posterior_grad_input(
-    features: np.ndarray, params: GmmParams, gamma: np.ndarray | None = None
-) -> np.ndarray:
-    """Derivative of every posterior with respect to its own point.
-
-    Returns (T, K, D): entry [t, k, e] is d gamma_k(x_t) / d x_t[e]. Point t
-    only influences its own posterior row.
-    """
-    features = _check_features(features, params.dim)
-    if gamma is None:
-        gamma = posteriors(features, params)
-    beta = (features[:, None, :] - params.means[None]) / params.variances[None]
-    pooled = np.einsum("tk,tkd->td", gamma, beta)
-    return gamma[:, :, None] * (pooled[:, None, :] - beta)
-
-
-def posterior_grad_params(
-    features: np.ndarray, params: GmmParams, gamma: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Derivatives of posteriors with respect to mixture parameters.
-
-    Weights are treated as free coordinates (the normalization lives inside
-    the posterior itself). Returns
-      d_weights   (T, K, K):    [t, k, s] = d gamma_k(x_t) / d w_s
-      d_means     (T, K, K, D): [t, k, s, e] = d gamma_k(x_t) / d mu_s[e]
-      d_variances (T, K, K, D): [t, k, s, e] = d gamma_k(x_t) / d var_s[e]
-
-    Sized for small verification instances; the training path never
-    materializes these tensors.
-    """
-    features = _check_features(features, params.dim)
-    if gamma is None:
-        gamma = posteriors(features, params)
-    k = params.n_components
-    w = params.weights
-    eye = np.eye(k)
-    d_weights = gamma[:, :, None] * (
-        (eye / w[:, None])[None, :, :] - (gamma / w[None, :])[:, None, :]
-    )
-    # shared factor gamma_k (delta_ks - gamma_s)
-    pair = gamma[:, :, None] * (eye[None, :, :] - gamma[:, None, :])  # (T, K, S)
-    diff = features[:, None, :] - params.means[None]  # (T, S, D)
-    beta = diff / params.variances[None]
-    d_means = pair[:, :, :, None] * beta[:, None, :, :]
-    vterm = (diff * diff / params.variances[None] - 1.0) / (
-        2.0 * params.variances[None]
-    )
-    d_variances = pair[:, :, :, None] * vterm[:, None, :, :]
-    return d_weights, d_means, d_variances

@@ -4,7 +4,8 @@ Each check builds a small random instance, materializes the full analytic
 Jacobian through the production backward code (one-hot upstreams), and
 compares against central differences of the corresponding forward map.
 Errors are reported per derivative block so a wrong term is immediately
-attributable.
+attributable. The verification-only oracles (a per-point forward, dense
+Jacobians, posterior derivatives) live here, not in the runtime modules.
 """
 
 from __future__ import annotations
@@ -12,23 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from .feature_layer import FeatureLayerParams, layer_backward, layer_forward, xavier_init
-from .fisher import (
-    fv_backward,
-    fv_forward,
-    fv_jacobian_input,
-    fv_jacobian_params,
-    fv_length,
-)
+from .fisher import _check_inputs, fv_backward, fv_forward, fv_length
 from .gmm import (
     GmmParams,
     RawGmmParams,
-    posterior_grad_input,
-    posterior_grad_params,
     posteriors,
     reparam_backward,
     reparam_forward,
 )
 from .normalization import norm_backward, norm_forward
+from .pipeline import Encoder, _grad_chunk
 
 __all__ = [
     "DEFAULT_STEP",
@@ -43,6 +37,11 @@ __all__ = [
     "check_end_to_end",
     "run_battery",
     "battery_instances",
+    "fv_forward_naive",
+    "fv_jacobian_params",
+    "fv_jacobian_input",
+    "posterior_grad_input",
+    "posterior_grad_params",
 ]
 
 DEFAULT_STEP = 1e-5
@@ -78,6 +77,101 @@ def fd_jacobian(func, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
         flat[j] = saved
         jac[:, j] = (hi - lo) / (2.0 * step)
     return jac
+
+
+def fv_forward_naive(features: np.ndarray, params: GmmParams) -> np.ndarray:
+    """Literal per-point accumulation of the encoding. Test oracle only."""
+    features = _check_inputs(features, params)
+    t = features.shape[0]
+    k, d = params.n_components, params.dim
+    sigma = np.sqrt(params.variances)
+    acc_w = np.zeros(k)
+    acc_mu = np.zeros((k, d))
+    acc_var = np.zeros((k, d))
+    for i in range(t):
+        g = posteriors(features[i : i + 1], params)[0]
+        a = (features[i] - params.means) / sigma
+        acc_w += g - params.weights
+        acc_mu += g[:, None] * a
+        acc_var += g[:, None] * (a * a - 1.0) / np.sqrt(2.0)
+    sqw = np.sqrt(params.weights)
+    f_w = acc_w / (t * sqw)
+    f_mu = acc_mu / (t * sqw[:, None])
+    f_var = acc_var / (t * sqw[:, None])
+    return np.concatenate([f_w, f_mu.ravel(), f_var.ravel()])
+
+
+def _onehot_backwards(features: np.ndarray, params: GmmParams) -> list[tuple]:
+    """fv_backward for each one-hot upstream, in encoding order."""
+    features = _check_inputs(features, params)
+    gamma = posteriors(features, params)
+    eye = np.eye(fv_length(params.n_components, params.dim))
+    return [fv_backward(features, params, gamma, one_hot) for one_hot in eye]
+
+
+def fv_jacobian_params(features: np.ndarray, params: GmmParams) -> np.ndarray:
+    """Full parameter Jacobian, shape ((2D+1)K, K + 2KD). Debug sizes only.
+
+    Row i is the gradient of encoding entry i; columns are packed as
+    [weights | means | variances]. Built by contracting one-hot upstreams,
+    so it exercises exactly the production backward path.
+    """
+    return np.stack([
+        np.concatenate([dw, dmu.ravel(), dvar.ravel()])
+        for dw, dmu, dvar, _ in _onehot_backwards(features, params)
+    ])
+
+
+def fv_jacobian_input(features: np.ndarray, params: GmmParams) -> np.ndarray:
+    """Full input Jacobian, shape ((2D+1)K, T * D). Debug sizes only."""
+    return np.stack([dx.ravel() for *_, dx in _onehot_backwards(features, params)])
+
+
+def posterior_grad_input(features: np.ndarray, params: GmmParams) -> np.ndarray:
+    """Derivative of every posterior with respect to its own point.
+
+    Returns (T, K, D): entry [t, k, e] is d gamma_k(x_t) / d x_t[e]. Point t
+    only influences its own posterior row.
+    """
+    features = _check_inputs(features, params)
+    gamma = posteriors(features, params)
+    beta = (features[:, None, :] - params.means[None]) / params.variances[None]
+    pooled = np.einsum("tk,tkd->td", gamma, beta)
+    return gamma[:, :, None] * (pooled[:, None, :] - beta)
+
+
+def posterior_grad_params(
+    features: np.ndarray, params: GmmParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Derivatives of posteriors with respect to mixture parameters.
+
+    Weights are treated as free coordinates (the normalization lives inside
+    the posterior itself). Returns
+      d_weights   (T, K, K):    [t, k, s] = d gamma_k(x_t) / d w_s
+      d_means     (T, K, K, D): [t, k, s, e] = d gamma_k(x_t) / d mu_s[e]
+      d_variances (T, K, K, D): [t, k, s, e] = d gamma_k(x_t) / d var_s[e]
+
+    Sized for small verification instances; the training path never
+    materializes these tensors.
+    """
+    features = _check_inputs(features, params)
+    gamma = posteriors(features, params)
+    k = params.n_components
+    w = params.weights
+    eye = np.eye(k)
+    d_weights = gamma[:, :, None] * (
+        (eye / w[:, None])[None, :, :] - (gamma / w[None, :])[:, None, :]
+    )
+    # shared factor gamma_k (delta_ks - gamma_s)
+    pair = gamma[:, :, None] * (eye[None, :, :] - gamma[:, None, :])  # (T, K, S)
+    diff = features[:, None, :] - params.means[None]  # (T, S, D)
+    beta = diff / params.variances[None]
+    d_means = pair[:, :, :, None] * beta[:, None, :, :]
+    vterm = (diff * diff / params.variances[None] - 1.0) / (
+        2.0 * params.variances[None]
+    )
+    d_variances = pair[:, :, :, None] * vterm[:, None, :, :]
+    return d_weights, d_means, d_variances
 
 
 def _pack(params: GmmParams) -> np.ndarray:
@@ -303,9 +397,9 @@ def check_end_to_end(
     """Whole-chain gradient check on a micro configuration.
 
     Scalar loss sum_i -y_i theta^T phi(F(tanh(W x~_i + b))) differentiated
-    against every trainable coordinate (nu, zeta, means, weight, bias)
-    through the analytic chain, compared to central differences through the
-    composed forward maps.
+    against every trainable coordinate (nu, zeta, means, weight, bias) by
+    the trainer's own per-image gradient (pipeline._grad_chunk), compared to
+    central differences through the Encoder's forward pass.
     """
     rng = np.random.default_rng(seed + 5000)
     k, d = n_components, dim
@@ -321,22 +415,16 @@ def check_end_to_end(
     theta = rng.normal(0.0, 1.0, size=fv_length(k, d))
 
     def loss_from(vec: np.ndarray) -> np.ndarray:
-        pos = 0
-        nu = vec[pos : pos + k]
-        pos += k
-        zeta = vec[pos : pos + k * d].reshape(k, d)
-        pos += k * d
-        means = vec[pos : pos + k * d].reshape(k, d)
-        pos += k * d
-        weight = vec[pos : pos + d * d].reshape(d, d)
-        pos += d * d
-        bias = vec[pos : pos + d]
-        params = reparam_forward(RawGmmParams(nu, zeta, means, raw.epsilon))
-        lparams = FeatureLayerParams(weight, bias)
+        nu, zeta, means, weight, bias = np.split(vec, np.cumsum([k, k * d, k * d, d * d]))
+        encoder = Encoder(
+            reparam_forward(
+                RawGmmParams(nu, zeta.reshape(k, d), means.reshape(k, d), raw.epsilon)
+            ),
+            FeatureLayerParams(weight.reshape(d, d), bias),
+        )
         total = 0.0
         for y, xt in zip(labels, inputs):
-            encoded, _, _ = fv_forward(layer_forward(xt, lparams), params)
-            total += -y * float(theta @ norm_forward(encoded))
+            total += -y * float(theta @ encoder.forward(xt)[0])
         return np.array([total])
 
     packed = np.concatenate(
@@ -344,28 +432,15 @@ def check_end_to_end(
     )
     numeric = fd_jacobian(loss_from, packed, step).ravel()
 
-    params = reparam_forward(raw)
-    g_nu = np.zeros(k)
-    g_zeta = np.zeros((k, d))
-    g_means = np.zeros((k, d))
-    g_weight = np.zeros((d, d))
-    g_bias = np.zeros(d)
-    for y, xt in zip(labels, inputs):
-        x = layer_forward(xt, layer)
-        encoded, gamma, _ = fv_forward(x, params)
-        upstream_norm = -y * theta
-        upstream_fv = norm_backward(encoded, upstream_norm)
-        d_w, d_mu, d_var, d_x = fv_backward(x, params, gamma, upstream_fv)
-        d_nu, d_zeta = reparam_backward(raw, d_w, d_var)
-        dw_layer, db_layer, _ = layer_backward(xt, layer, d_x)
-        g_nu += d_nu
-        g_zeta += d_zeta
-        g_means += d_mu
-        g_weight += dw_layer
-        g_bias += db_layer
-    analytic = np.concatenate(
-        [g_nu, g_zeta.ravel(), g_means.ravel(), g_weight.ravel(), g_bias]
+    # one class whose SVM bias is zero: the trainer's upstream is -y * theta
+    entries = _grad_chunk(
+        [(xt, np.array([y])) for y, xt in zip(labels, inputs)],
+        raw, layer, np.append(theta, 0.0)[None, :], True, True,
     )
+    analytic = np.concatenate([
+        sum(entry[key] for entry in entries).ravel()
+        for key in ("d_nu", "d_zeta", "d_means", "d_weight", "d_bias")
+    ])
     return max_rel_error(analytic, numeric)
 
 

@@ -4,6 +4,7 @@ Phase one fits the mixture (k-means++ and EM) on pooled points, prepares the
 feature-layer inputs by inversion, and trains one SVM per class on the fixed
 encodings. Phase two alternates SGD steps on the encoder parameters (driven
 by the classifiers' backward signal) with warm-started SVM retraining.
+Every encode and every backward goes through one `Encoder`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import numpy as np
 
 from .data_io import CheckpointData, Dataset, subsample
 from .feature_layer import (
-    ATANH_MARGIN,
     FeatureLayerParams,
+    clamp_features,
     invert_features,
     layer_backward,
     layer_forward,
     xavier_init,
 )
-from .fisher import fv_backward, fv_backward_input, fv_backward_params, fv_forward
+from .fisher import SufficientStats, fv_backward, fv_backward_params, fv_forward
 from .gmm import (
     GmmParams,
     RawGmmParams,
@@ -45,6 +46,8 @@ from .svm import (
 )
 
 __all__ = [
+    "Encoder",
+    "EncoderCache",
     "TrainMode",
     "TrainConfig",
     "TrainState",
@@ -54,9 +57,7 @@ __all__ = [
     "joint_step",
     "retrain_svms",
     "train",
-    "evaluate",
     "evaluate_checkpoint",
-    "encode_image",
     "checkpoint_encode",
     "shift_demo",
     "METRICS_HEADER",
@@ -107,7 +108,55 @@ class EvalReport:
     class_index: int
     ap: float
     accuracy: float
-    duality_gap: float
+
+
+@dataclass
+class EncoderCache:
+    """What Encoder.backward needs from the forward pass of one image."""
+
+    inputs: np.ndarray  # (T, D) layer inputs
+    points: np.ndarray  # (T, D) layer outputs, the points the mixture encodes
+    fv: np.ndarray  # encoding before normalization
+    gamma: np.ndarray  # (T, K) posteriors
+    stats: SufficientStats
+
+
+@dataclass
+class Encoder:
+    """The differentiable chain: feature layer, Fisher encoding, power + L2
+    normalization. A None layer is the identity map.
+
+    The stages are looked up as module globals at call time, so a wrapper
+    installed on this module's names sees every call.
+    """
+
+    params: GmmParams
+    layer: FeatureLayerParams | None = None
+
+    def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
+        """Normalized encoding of one image's (T, D) inputs, plus its cache."""
+        points = inputs if self.layer is None else layer_forward(inputs, self.layer)
+        fv, gamma, stats = fv_forward(points, self.params)
+        return norm_forward(fv), EncoderCache(inputs, points, fv, gamma, stats)
+
+    def backward(
+        self, cache: EncoderCache, d_encoding: np.ndarray, want_input: bool = True
+    ) -> tuple:
+        """Contract d_encoding (on the normalized encoding) through the chain.
+
+        Returns (d_weights, d_means, d_variances, d_layer_weight, d_layer_bias,
+        d_inputs). The last three are None when want_input is false, which
+        skips the whole d_features pass; the layer terms are None under the
+        identity map.
+        """
+        d_fv = norm_backward(cache.fv, d_encoding)
+        if not want_input:
+            return (*fv_backward_params(cache.points, self.params, cache.gamma, d_fv),
+                    None, None, None)
+        d_w, d_mu, d_var, d_x = fv_backward(cache.points, self.params, cache.gamma, d_fv)
+        if self.layer is None:
+            return d_w, d_mu, d_var, None, None, d_x
+        return d_w, d_mu, d_var, *layer_backward(cache.inputs, self.layer, d_x)
 
 
 @dataclass
@@ -123,9 +172,6 @@ class TrainState:
     epoch: int = 0
     batches_done: int = 0
     starved_events: int = 0
-    # reparameterized steps never leave the feasible set, so nothing ever
-    # increments this; it exists to make that property assertable
-    projection_ops: int = 0
     metrics: list[tuple] = field(default_factory=list)
 
     @property
@@ -134,6 +180,10 @@ class TrainState:
 
     def gmm(self) -> GmmParams:
         return reparam_forward(self.raw)
+
+    def encoder(self) -> Encoder:
+        """The trainer's encoder; it takes the inverted inputs in `inputs`."""
+        return Encoder(self.gmm(), self.layer)
 
     def theta_matrix(self) -> np.ndarray:
         return np.stack([svm.theta for svm in self.svms])
@@ -157,13 +207,13 @@ class TrainState:
 
 
 def _encode_chunk(
-    chunk: list[np.ndarray], raw: RawGmmParams, layer: FeatureLayerParams
+    chunk: list[np.ndarray], encoder: Encoder
 ) -> list[tuple[np.ndarray, int]]:
-    params = reparam_forward(raw)
+    """(encoding, starved component count) per image."""
     out = []
     for inputs in chunk:
-        fv, _, stats = fv_forward(layer_forward(inputs, layer), params)
-        out.append((norm_forward(fv), stats.starved_count()))
+        encoding, cache = encoder.forward(inputs)
+        out.append((encoding, cache.stats.starved_count()))
     return out
 
 
@@ -175,40 +225,31 @@ def _grad_chunk(
     update_gmm: bool,
     update_layer: bool,
 ) -> list[dict]:
-    params = reparam_forward(raw)
+    encoder = Encoder(reparam_forward(raw), layer)
     signal = thetas[:, :-1]  # bias never reaches the encoder
     out = []
     for inputs, label_row in chunk:
-        x = layer_forward(inputs, layer)
-        fv, gamma, stats = fv_forward(x, params)
-        upstream_norm = -(label_row @ signal)
+        encoding, cache = encoder.forward(inputs)
+        upstream = -(label_row @ signal)
         entry: dict = {
-            "loss": float(upstream_norm @ norm_forward(fv)),
-            "starved": stats.starved_count(),
+            "loss": float(upstream @ encoding),
+            "starved": cache.stats.starved_count(),
         }
         if update_gmm or update_layer:
-            upstream_fv = norm_backward(fv, upstream_norm)
-            if update_layer:
-                d_w, d_mu, d_var, d_x = fv_backward(x, params, gamma, upstream_fv)
-            else:
-                d_w, d_mu, d_var = fv_backward_params(x, params, gamma, upstream_fv)
+            d_w, d_mu, d_var, d_weight, d_bias, _ = encoder.backward(
+                cache, upstream, want_input=update_layer
+            )
             if update_gmm:
-                d_nu, d_zeta = reparam_backward(raw, d_w, d_var)
-                entry["d_nu"] = d_nu
-                entry["d_zeta"] = d_zeta
+                entry["d_nu"], entry["d_zeta"] = reparam_backward(raw, d_w, d_var)
                 entry["d_means"] = d_mu
             if update_layer:
-                d_weight, d_bias, _ = layer_backward(inputs, layer, d_x)
-                entry["d_weight"] = d_weight
-                entry["d_bias"] = d_bias
+                entry["d_weight"], entry["d_bias"] = d_weight, d_bias
         out.append(entry)
     return out
 
 
 def _encode_all(state: TrainState, workers: int = 1) -> np.ndarray:
-    results = map_chunks(
-        _encode_chunk, state.inputs, (state.raw, state.layer), workers
-    )
+    results = map_chunks(_encode_chunk, state.inputs, (state.encoder(),), workers)
     state.starved_events += sum(starved for _, starved in results)
     return np.stack([vec for vec, _ in results])
 
@@ -425,51 +466,17 @@ class _MetricsWriter:
             self._fh.close()
 
 
-def encode_image(features: np.ndarray, state: TrainState) -> np.ndarray:
-    """Normalized encoding of raw features under the current parameters."""
-    inputs = invert_features(np.asarray(features, dtype=np.float64), state.init_layer)
-    fv, _, _ = fv_forward(layer_forward(inputs, state.layer), state.gmm())
-    return norm_forward(fv)
-
-
-def evaluate(state: TrainState, dataset: Dataset, workers: int = 1) -> list[EvalReport]:
-    """Per-class metrics of the current model on a dataset."""
-    items = [
-        invert_features(np.asarray(item.features, dtype=np.float64), state.init_layer)
-        for item in dataset.items
-    ]
-    results = map_chunks(_encode_chunk, items, (state.raw, state.layer), workers)
-    encodings = np.stack([vec for vec, _ in results])
-    labels = dataset.label_matrix()
-    reports = []
-    for class_index, svm in enumerate(state.svms):
-        scores = decision_scores(svm, encodings)
-        reports.append(
-            EvalReport(
-                class_index=class_index,
-                ap=average_precision(scores, labels[:, class_index]),
-                accuracy=accuracy(scores, labels[:, class_index]),
-                duality_gap=svm.gap,
-            )
-        )
-    return reports
-
-
 def checkpoint_encode(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
     """Encode raw features with a loaded checkpoint.
 
     The stored layer, when present, already includes the inversion basis,
-    so it applies directly to atanh of the clamped features.
+    so it applies directly to atanh of the clamped features; without one the
+    mixture encodes the clamped features themselves.
     """
-    x = np.clip(
-        np.asarray(features, dtype=np.float64),
-        -(1.0 - ATANH_MARGIN),
-        1.0 - ATANH_MARGIN,
-    )
+    x = clamp_features(features)
     if checkpoint.layer is not None:
-        x = np.tanh(np.arctanh(x) @ checkpoint.layer.weight.T + checkpoint.layer.bias)
-    fv, _, _ = fv_forward(x, reparam_forward(checkpoint.raw))
-    return norm_forward(fv)
+        x = np.arctanh(x)
+    return Encoder(reparam_forward(checkpoint.raw), checkpoint.layer).forward(x)[0]
 
 
 def evaluate_checkpoint(
@@ -487,7 +494,6 @@ def evaluate_checkpoint(
                 class_index=class_index,
                 ap=average_precision(scores, labels[:, class_index]),
                 accuracy=accuracy(scores, labels[:, class_index]),
-                duality_gap=float("nan"),
             )
         )
     return reports
@@ -522,21 +528,14 @@ def shift_demo(
     clouds = [np.array(item.features, dtype=np.float64, copy=True) for item in dataset.items]
     pooled = np.vstack(clouds)
     seeded = kmeans_init(pooled, n_components, seed_for(seed, _TAG_KMEANS))
-    params = em_fit(pooled, seeded, seed=seed_for(seed, _TAG_EM))
+    encoder = Encoder(em_fit(pooled, seeded, seed=seed_for(seed, _TAG_EM)))
 
     positions: list[np.ndarray] = []
     accuracies = np.empty(steps + 1)
     separations = np.empty(steps + 1)
     alpha = None
     for step in range(steps + 1):
-        encoded = []
-        gammas = []
-        raw_fvs = []
-        for cloud in clouds:
-            fv, gamma, _ = fv_forward(cloud, params)
-            raw_fvs.append(fv)
-            gammas.append(gamma)
-            encoded.append(norm_forward(fv))
+        encoded, caches = zip(*(encoder.forward(cloud) for cloud in clouds))
         encodings = np.stack(encoded)
         svm = sdca_train(
             encodings,
@@ -556,9 +555,8 @@ def shift_demo(
         if step == steps:
             break
         upstreams = backward_signal(labels, svm)
-        for i, cloud in enumerate(clouds):
-            upstream_fv = norm_backward(raw_fvs[i], upstreams[i])
-            d_x = fv_backward_input(cloud, params, gammas[i], upstream_fv)
+        for cloud, cache, upstream in zip(clouds, caches, upstreams):
+            *_, d_x = encoder.backward(cache, upstream)
             cloud -= eta * d_x
     return ShiftDemoResult(
         image_ids=[item.image_id for item in dataset.items],

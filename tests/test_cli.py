@@ -61,7 +61,7 @@ def test_train_eval_flow(capsys, corpus, tmp_path):
                        "--metrics", str(metrics))
     assert code == 0
     assert ckpt.exists() and metrics.exists()
-    assert "0 projections" in out
+    assert "starved components" in out
 
     code, out, _ = run(capsys, "eval", "--test", str(feats),
                        "--labels", str(labels), "--checkpoint", str(ckpt))

@@ -12,9 +12,6 @@ from fvlayer.fisher import (
     fv_backward_input,
     fv_backward_params,
     fv_forward,
-    fv_forward_naive,
-    fv_jacobian_input,
-    fv_jacobian_params,
     fv_length,
     split_blocks,
 )
@@ -22,6 +19,9 @@ from fvlayer.gmm import GmmParams, em_fit, posteriors
 from fvlayer.gradcheck import (
     check_fv_blocks,
     fd_jacobian,
+    fv_forward_naive,
+    fv_jacobian_input,
+    fv_jacobian_params,
     max_rel_error,
     random_instance,
 )

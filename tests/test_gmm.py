@@ -15,15 +15,17 @@ from fvlayer.gmm import (
     NU_LIMIT,
     em_fit,
     kmeans_init,
-    log_gaussian,
-    posterior_grad_input,
-    posterior_grad_params,
     posteriors,
     raw_from_params,
     reparam_backward,
     reparam_forward,
 )
-from fvlayer.gradcheck import fd_jacobian, max_rel_error
+from fvlayer.gradcheck import (
+    fd_jacobian,
+    max_rel_error,
+    posterior_grad_input,
+    posterior_grad_params,
+)
 
 
 def random_params(k, d, rng):
@@ -50,27 +52,31 @@ def mean_log_likelihood(features, params):
 # ------------------------------------------------------------- density
 
 
-def test_log_gaussian_matches_mpmath():
-    # oracle: 50-digit evaluation of the same diagonal normal log-density
+def test_log_density_matrix_matches_mpmath():
+    # oracle: 50-digit evaluation of the same diagonal normal log-density,
+    # at the point-component pairs of the E-step's own (T, K) matrix
     rng = np.random.default_rng(3)
     mpmath.mp.dps = 50
     for _ in range(20):
         d = int(rng.integers(1, 5))
-        x = rng.normal(size=d)
-        mean = rng.normal(size=d)
-        var = rng.uniform(0.1, 3.0, size=d)
-        expected = mpmath.mpf(0)
-        for j in range(d):
-            xj, mj, vj = mpmath.mpf(x[j]), mpmath.mpf(mean[j]), mpmath.mpf(var[j])
-            expected += (-mpmath.log(2 * mpmath.pi * vj) / 2
-                         - (xj - mj) ** 2 / (2 * vj))
-        got = log_gaussian(x, mean, var)
-        assert abs(got - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
-
-
-def test_log_gaussian_shape_mismatch():
-    with pytest.raises(ValueError):
-        log_gaussian(np.zeros(2), np.zeros(3), np.ones(3))
+        k = int(rng.integers(1, 4))
+        x = rng.normal(size=(3, d))
+        params = GmmParams(weights=np.full(k, 1.0 / k),
+                           means=rng.normal(size=(k, d)),
+                           variances=rng.uniform(0.1, 3.0, size=(k, d)))
+        got = gmm._log_density_matrix(x, params)
+        assert got.shape == (3, k)
+        for t in range(3):
+            for c in range(k):
+                expected = mpmath.mpf(0)
+                for j in range(d):
+                    xj = mpmath.mpf(x[t, j])
+                    mj = mpmath.mpf(params.means[c, j])
+                    vj = mpmath.mpf(params.variances[c, j])
+                    expected += (-mpmath.log(2 * mpmath.pi * vj) / 2
+                                 - (xj - mj) ** 2 / (2 * vj))
+                assert abs(got[t, c] - float(expected)) <= \
+                    1e-12 * max(1.0, abs(float(expected)))
 
 
 # ---------------------------------------------------------- posteriors
