@@ -83,9 +83,28 @@ def scaling_in_t(t_values: list[int], k: int = 16, d: int = 32,
     return [time_instance(t, k, d, seed=seed, repeats=repeats) for t in t_values]
 
 
-def doubling_factors(rows: list[BenchRow]) -> list[float]:
-    """bwd time ratios between consecutive rows (expected ~2 when T doubles)."""
-    return [cur.bwd_ms / max(prev.bwd_ms, 1e-9) for prev, cur in zip(rows, rows[1:])]
+def interleaved_doubling_factors(t_values: list[int], k: int = 16, d: int = 32,
+                                 seed: int = 0, rounds: int = 21) -> list[float]:
+    """bwd time ratios between consecutive T values, robust to a shared host.
+
+    Each round times one backward pass at every T in turn, so a slow spell
+    tends to hit neighbouring sizes alike; the factor for each consecutive
+    pair is the median of its per-round ratios.
+    """
+    passes = []
+    for t in t_values:
+        features, params, upstream = _random_instance(t, k, d, seed)
+        _, gamma, _ = fv_forward(features, params)
+        passes.append((features, params, gamma, upstream))
+    for args in passes:  # warm-up
+        fv_backward(*args)
+    times = np.empty((rounds, len(passes)))
+    for r in range(rounds):
+        for j, args in enumerate(passes):
+            start = time.perf_counter()
+            fv_backward(*args)
+            times[r, j] = time.perf_counter() - start
+    return [float(f) for f in np.median(times[:, 1:] / times[:, :-1], axis=0)]
 
 
 def batch_speedup(n_images: int = 24, t: int = 2000, k: int = 16, d: int = 32,

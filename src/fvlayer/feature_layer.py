@@ -59,9 +59,9 @@ def xavier_init(dim: int, seed: int) -> FeatureLayerParams:
 
 def clamp_features(features: np.ndarray) -> np.ndarray:
     """Features as float64, clamped to magnitude 1 - ATANH_MARGIN for atanh."""
-    return np.clip(
-        np.asarray(features, dtype=np.float64), -(1.0 - ATANH_MARGIN), 1.0 - ATANH_MARGIN
-    )
+    # np.clip's values, without its per-call Python overhead
+    limit = 1.0 - ATANH_MARGIN
+    return np.minimum(np.maximum(np.asarray(features, dtype=np.float64), -limit), limit)
 
 
 def invert_features(
@@ -84,32 +84,56 @@ def invert_features(
         raise ValueError(f"layer weight is not invertible: {exc}") from exc
 
 
-def layer_forward(inputs: np.ndarray, params: FeatureLayerParams) -> np.ndarray:
+def _check_rows(inputs: np.ndarray, params: FeatureLayerParams, n_images) -> tuple:
+    """Inputs as float64 (B, T, D) for B images given as (B * T, D) rows."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != params.dim:
         raise ValueError(
             f"inputs must have shape (T, {params.dim}), got {inputs.shape}"
         )
-    return np.tanh(inputs @ params.weight.T + params.bias)
+    b = 1 if n_images is None else n_images
+    if b < 1 or inputs.shape[0] % b:
+        raise ValueError(f"{inputs.shape[0]} rows do not split into {n_images} images")
+    return inputs.reshape(b, -1, params.dim), inputs.shape
+
+
+def layer_forward(
+    inputs: np.ndarray, params: FeatureLayerParams, n_images: int | None = None
+) -> np.ndarray:
+    """tanh(x W^T + b) of (T, D) rows, or of B images stacked as (B * T, D)
+    rows with n_images=B. Each image gets its own matrix product, so its
+    rows round as they would alone."""
+    stack, shape = _check_rows(inputs, params, n_images)
+    return np.tanh(stack @ params.weight.T + params.bias).reshape(shape)
 
 
 def layer_backward(
-    inputs: np.ndarray, params: FeatureLayerParams, upstream: np.ndarray
+    inputs: np.ndarray,
+    params: FeatureLayerParams,
+    upstream: np.ndarray,
+    activated: np.ndarray | None = None,
+    n_images: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass; upstream is (T, D) on the layer output.
 
     Returns (d_weight (D, D), d_bias (D,), d_inputs (T, D)). Row sums over
-    the point index, so cost is one pair of matrix products.
+    the point index, so cost is one pair of matrix products. `activated`
+    is the forward output, recomputed when not given. With n_images=B the
+    arrays are (B * T, D) rows of B images; d_weight and d_bias gain a
+    leading image axis.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    stack, shape = _check_rows(inputs, params, n_images)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != inputs.shape:
+    if upstream.shape != shape:
         raise ValueError(
-            f"upstream shape {upstream.shape} must match inputs {inputs.shape}"
+            f"upstream shape {upstream.shape} must match inputs {shape}"
         )
-    activated = np.tanh(inputs @ params.weight.T + params.bias)
-    gate = upstream * (1.0 - activated * activated)
-    d_weight = gate.T @ inputs
-    d_bias = gate.sum(axis=0)
-    d_inputs = gate @ params.weight
+    if activated is None:
+        activated = layer_forward(inputs, params, n_images)
+    gate = (upstream * (1.0 - activated * activated)).reshape(stack.shape)
+    d_weight = gate.transpose(0, 2, 1) @ stack
+    d_bias = gate.sum(axis=1)
+    d_inputs = (gate @ params.weight).reshape(shape)
+    if n_images is None:
+        return d_weight[0], d_bias[0], d_inputs
     return d_weight, d_bias, d_inputs

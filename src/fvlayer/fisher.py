@@ -8,6 +8,12 @@ encoding of T points in D dimensions under K components has length
     [ weight block (K) | mean block (K * D) | variance block (K * D) ]
 
 with the mean and variance blocks component-major.
+
+fv_forward, fv_backward and fv_backward_params also take a stack of B
+equal-size point sets as (B * T, D) rows plus `n_images=B`; per-image
+outputs then gain a leading image axis.
+Each image's sums run in the same order as for that image alone, so the
+results are bit for bit those of B separate calls.
 """
 
 from __future__ import annotations
@@ -18,10 +24,6 @@ import numpy as np
 
 from . import gmm
 from .gmm import GmmParams, posteriors
-
-# The backward walks each CHUNK_ROWS chunk in cache-sized tiles of at most
-# this many (rows, K, D) values: 1 MiB of float64 per buffer.
-TILE_VALUES = 131072
 
 __all__ = [
     "SufficientStats",
@@ -41,15 +43,19 @@ class SufficientStats:
     s0: (K,)   total posterior mass per component.
     s1: (K, D) posterior-weighted coordinate sums.
     s2: (K, D) posterior-weighted squared-coordinate sums.
+
+    Each gains a leading image axis for a stack of images.
     """
 
     s0: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
 
-    def starved_count(self, tol: float = 1e-12) -> int:
-        """Number of components with posterior mass below tol."""
-        return int(np.sum(self.s0 < tol))
+    def starved_count(self, tol: float = 1e-12):
+        """Number of components with posterior mass below tol: an int for
+        one image, an (B,) array for a stack."""
+        counts = np.sum(self.s0 < tol, axis=-1)
+        return int(counts) if counts.ndim == 0 else counts
 
 
 def fv_length(n_components: int, dim: int) -> int:
@@ -59,20 +65,27 @@ def fv_length(n_components: int, dim: int) -> int:
 def split_blocks(
     vector: np.ndarray, n_components: int, dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a packed encoding (or upstream gradient) into its three blocks."""
+    """Split a packed encoding (or upstream gradient) into its three blocks.
+
+    A (B, length) stack splits into blocks with a leading image axis.
+    """
     expected = fv_length(n_components, dim)
-    if vector.shape != (expected,):
+    if vector.ndim not in (1, 2) or vector.shape[-1] != expected:
         raise ValueError(
             f"expected packed vector of length {expected}, got shape {vector.shape}"
         )
     k, d = n_components, dim
-    w_block = vector[:k]
-    mu_block = vector[k : k + k * d].reshape(k, d)
-    var_block = vector[k + k * d :].reshape(k, d)
+    lead = vector.shape[:-1]
+    w_block = vector[..., :k]
+    mu_block = vector[..., k : k + k * d].reshape(*lead, k, d)
+    var_block = vector[..., k + k * d :].reshape(*lead, k, d)
     return w_block, mu_block, var_block
 
 
-def _check_inputs(features: np.ndarray, params: GmmParams) -> np.ndarray:
+def _check_inputs(
+    features: np.ndarray, params: GmmParams, n_images: int | None = None
+) -> tuple[np.ndarray, int]:
+    """Features as float64 (B * T, D) rows, and B (1 for one image)."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D (T, D), got shape {features.shape}")
@@ -83,24 +96,38 @@ def _check_inputs(features: np.ndarray, params: GmmParams) -> np.ndarray:
             f"feature dimension {features.shape[1]} does not match mixture dim "
             f"{params.dim}"
         )
-    return features
+    b = 1 if n_images is None else n_images
+    if b < 1 or features.shape[0] % b:
+        raise ValueError(
+            f"{features.shape[0]} rows do not split into {n_images} equal images"
+        )
+    return features, b
+
+
+def _unstack(n_images: int | None, *arrays: np.ndarray) -> tuple:
+    """Drop the leading image axis when the caller passed one image."""
+    return arrays if n_images is not None else tuple(a[0] for a in arrays)
 
 
 def fv_forward(
-    features: np.ndarray, params: GmmParams
+    features: np.ndarray, params: GmmParams, n_images: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, SufficientStats]:
     """Encode a point set; returns (encoding, posteriors, stats).
 
     The encoding is assembled from the sufficient statistics alone, so its
-    cost after the posterior pass is O(K * D) regardless of T.
+    cost after the posterior pass is O(K * D) regardless of T. With
+    n_images=B the encodings are (B, length) and the posteriors stay
+    (B * T, K) rows.
     """
-    features = _check_inputs(features, params)
-    t = features.shape[0]
+    features, b = _check_inputs(features, params, n_images)
+    t = features.shape[0] // b
     gamma = posteriors(features, params)
-    s0 = gamma.sum(axis=0)
-    s1 = gamma.T @ features
-    s2 = gamma.T @ (features * features)
-    stats = SufficientStats(s0, s1, s2)
+    x = features.reshape(b, t, -1)
+    g = gamma.reshape(b, t, -1)
+    gt = g.transpose(0, 2, 1)
+    s0 = g.sum(axis=1)
+    s1 = gt @ x
+    s2 = gt @ (x * x)
 
     w = params.weights
     mu = params.means
@@ -109,21 +136,23 @@ def fv_forward(
     sqw = np.sqrt(w)
 
     f_w = (s0 - t * w) / (t * sqw)
-    f_mu = (s1 - mu * s0[:, None]) / (t * sqw[:, None] * sigma)
-    f_var = (s2 - 2.0 * mu * s1 + (mu * mu - var) * s0[:, None]) / (
+    f_mu = (s1 - mu * s0[..., None]) / (t * sqw[:, None] * sigma)
+    f_var = (s2 - 2.0 * mu * s1 + (mu * mu - var) * s0[..., None]) / (
         t * np.sqrt(2.0) * sqw[:, None] * var
     )
-    encoding = np.concatenate([f_w, f_mu.ravel(), f_var.ravel()])
-    return encoding, gamma, stats
+    encoding = np.concatenate([f_w, f_mu.reshape(b, -1), f_var.reshape(b, -1)], axis=1)
+    encoding, s0, s1, s2 = _unstack(n_images, encoding, s0, s1, s2)
+    return encoding, gamma, SufficientStats(s0, s1, s2)
 
 
 def _row_sum(lhs: np.ndarray, rhs: np.ndarray, n: int, carry) -> np.ndarray:
-    """einsum("ck,ckd->kd") over rows 1..n of two tile buffers, continuing a
-    non-None carry in row order: it goes in rhs's row 0, weighted 1.0 in lhs."""
+    """Per image, einsum("ck,ckd->kd") over rows 1..n of two tile buffers,
+    continuing a non-None carry in row order: it goes in rhs's row 0,
+    weighted 1.0 in lhs."""
     if carry is None:
-        return np.einsum("ck,ckd->kd", lhs[1 : n + 1], rhs[1 : n + 1])
-    rhs[0] = carry
-    return np.einsum("ck,ckd->kd", lhs[: n + 1], rhs[: n + 1])
+        return np.einsum("bck,bckd->bkd", lhs[:, 1 : n + 1], rhs[:, 1 : n + 1])
+    rhs[:, 0] = carry
+    return np.einsum("bck,bckd->bkd", lhs[:, : n + 1], rhs[:, : n + 1])
 
 
 def fv_backward(
@@ -131,6 +160,7 @@ def fv_backward(
     params: GmmParams,
     gamma: np.ndarray,
     upstream: np.ndarray,
+    n_images: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Contract an upstream gradient against the parameter and input Jacobians.
 
@@ -138,19 +168,22 @@ def fv_backward(
     d_features (T, D)). Weights are treated as free coordinates; the simplex
     coupling enters only through the posteriors, exactly as in the forward
     pass. Point t only receives gradient through its own posterior row and
-    its own direct appearance in the encoding sums.
+    its own direct appearance in the encoding sums. With n_images=B the
+    upstream is (B, length), the parameter gradients gain a leading image
+    axis and d_features stays (B * T, D) rows.
 
     One pass computes every per-point term once. Parameter sums are grouped
-    per CHUNK_ROWS chunk and carried across its tiles of at most TILE_VALUES
-    (rows, K, D) values in row order, so they match one einsum per chunk bit
-    for bit. Memory is O(T * D + CHUNK_ROWS * K) plus three tile buffers.
+    per CHUNK_ROWS chunk and carried across its tiles of at most
+    gmm.TILE_VALUES (rows, K, D) values per image in row order, so they
+    match one einsum per chunk bit for bit. Memory is O(B * T * D +
+    B * CHUNK_ROWS * K) plus three buffers of one tile per image.
     """
-    return _backward(features, params, gamma, upstream, want_input=True)
+    return _backward(features, params, gamma, upstream, True, n_images)
 
 
-def fv_backward_params(features, params, gamma, upstream) -> tuple:
+def fv_backward_params(features, params, gamma, upstream, n_images=None) -> tuple:
     """(d_weights, d_means, d_variances) of fv_backward, skipping d_features."""
-    return _backward(features, params, gamma, upstream, want_input=False)[:3]
+    return _backward(features, params, gamma, upstream, False, n_images)[:3]
 
 
 def fv_backward_input(features, params, gamma, upstream) -> np.ndarray:
@@ -158,48 +191,53 @@ def fv_backward_input(features, params, gamma, upstream) -> np.ndarray:
     return fv_backward(features, params, gamma, upstream)[3]
 
 
-def _backward(features, params, gamma, upstream, want_input: bool) -> tuple:
-    features = _check_inputs(features, params)
-    t = features.shape[0]
+def _backward(features, params, gamma, upstream, want_input: bool, n_images) -> tuple:
+    features, b = _check_inputs(features, params, n_images)
+    t = features.shape[0] // b
     k, d = params.n_components, params.dim
-    u_w, u_mu, u_var = split_blocks(np.asarray(upstream, dtype=np.float64), k, d)
+    upstream = np.asarray(upstream, dtype=np.float64).reshape(b, -1)
+    u_w, u_mu, u_var = split_blocks(upstream, k, d)
 
     w, mu, var = params.weights, params.means, params.variances
     sigma = np.sqrt(var)
     sqw = np.sqrt(w)
     sq2w = np.sqrt(2.0 * w)
-    direct_mu_coef = u_mu / (sqw[:, None] * sigma)  # (K, D)
-    direct_var_coef = 2.0 * u_var / sq2w[:, None]  # (K, D)
+    direct_mu_coef = u_mu / (sqw[:, None] * sigma)  # (B, K, D)
+    direct_var_coef = 2.0 * u_var / sq2w[:, None]  # (B, K, D)
 
-    d_w, d_mu, d_var = np.zeros(k), np.zeros((k, d)), np.zeros((k, d))
-    d_x = np.empty((t, d))
+    d_w, d_mu, d_var = np.zeros((b, k)), np.zeros((b, k, d)), np.zeros((b, k, d))
+    d_x = np.empty((b, t, d))
+    images = features.reshape(b, t, d)
+    gammas = gamma.reshape(b, t, k)
 
     rows = gmm.CHUNK_ROWS
     chunk = min(rows, t)
-    tile = max(1, min(TILE_VALUES // (k * d), chunk))
+    # each image walks the tiles it would alone; a pipeline stack holds at
+    # most TILE_VALUES (images, rows, K, D) values, so it fits in one tile
+    tile = max(1, min(gmm.TILE_VALUES // (k * d), chunk))
     # row 0 of the alpha and alpha^2 buffers carries a running (K, D) sum,
     # weighted by the 1.0 in row 0 of the gamma and h buffers
-    alpha_buf, sq_buf = np.empty((2, tile + 1, k, d))
-    beta_buf = np.empty((tile, k, d))
-    g_buf, h_buf = np.ones((2, tile + 1, k))
-    bp, cp = np.empty((chunk, k)), np.empty((chunk, k))
-    tot = np.empty(chunk)
-    direct_var = np.empty((chunk, d))
+    alpha_buf, sq_buf = np.empty((2, b, tile + 1, k, d))
+    beta_buf = np.empty((b, tile, k, d))
+    g_buf, h_buf = np.ones((2, b, tile + 1, k))
+    bp, cp = np.empty((2, b, chunk, k))
+    tot = np.empty((b, chunk))
+    direct_var = np.empty((b, chunk, d))
 
     for start in range(0, t, rows):
-        x = features[start : start + rows]
-        g = gamma[start : start + rows]
-        c = x.shape[0]
+        x = images[:, start : start + rows]
+        g = gammas[:, start : start + rows]
+        c = x.shape[1]
         ga = ga2 = ha = hq = None
         for lo in range(0, c, tile):
             hi = min(lo + tile, c)
             n = hi - lo
-            alpha = alpha_buf[1 : n + 1]
-            sq = sq_buf[1 : n + 1]
-            beta = beta_buf[:n]
-            gt = g_buf[1 : n + 1]
-            gt[...] = g[lo:hi]
-            np.subtract(x[lo:hi, None, :], mu, out=alpha)
+            alpha = alpha_buf[:, 1 : n + 1]
+            sq = sq_buf[:, 1 : n + 1]
+            beta = beta_buf[:, :n]
+            gt = g_buf[:, 1 : n + 1]
+            gt[...] = g[:, lo:hi]
+            np.subtract(x[:, lo:hi, None, :], mu, out=alpha)
             if want_input:
                 np.divide(alpha, var, out=beta)
             np.divide(alpha, sigma, out=alpha)
@@ -208,33 +246,33 @@ def _backward(features, params, gamma, upstream, want_input: bool) -> tuple:
             ga2 = _row_sum(g_buf, sq_buf, n, ga2)
             sq -= 1.0  # q = alpha^2 - 1
 
-            np.einsum("kd,ckd->ck", u_mu, alpha, out=bp[lo:hi])
-            np.einsum("kd,ckd->ck", u_var, sq, out=cp[lo:hi])
-            r = (u_w + bp[lo:hi]) / sqw + cp[lo:hi] / sq2w
-            np.einsum("ck,ck->c", gt, r, out=tot[lo:hi])
+            np.einsum("bkd,bckd->bck", u_mu, alpha, out=bp[:, lo:hi])
+            np.einsum("bkd,bckd->bck", u_var, sq, out=cp[:, lo:hi])
+            r = (u_w[:, None] + bp[:, lo:hi]) / sqw + cp[:, lo:hi] / sq2w
+            np.einsum("bck,bck->bc", gt, r, out=tot[:, lo:hi])
             gr = gt * r
-            np.subtract(gr, gt * tot[lo:hi, None], out=h_buf[1 : n + 1])
+            np.subtract(gr, gt * tot[:, lo:hi, None], out=h_buf[:, 1 : n + 1])
             ha = _row_sum(h_buf, alpha_buf, n, ha)
             hq = _row_sum(h_buf, sq_buf, n, hq)
 
             if want_input:
-                pooled = np.einsum("ck,cke->ce", gt, beta)
+                pooled = np.einsum("bck,bcke->bce", gt, beta)
                 np.subtract(
-                    pooled * gr.sum(axis=1)[:, None],
-                    np.einsum("ck,cke->ce", gr, beta),
-                    out=d_x[start + lo : start + hi],
+                    pooled * gr.sum(axis=2)[..., None],
+                    np.einsum("bck,bcke->bce", gr, beta),
+                    out=d_x[:, start + lo : start + hi],
                 )
-                beta *= direct_var_coef
-                np.einsum("ck,cke->ce", gt, beta, out=direct_var[lo:hi])
+                beta *= direct_var_coef[:, None]
+                np.einsum("bck,bcke->bce", gt, beta, out=direct_var[:, lo:hi])
 
-        s0c = g.sum(axis=0)
+        s0c = g.sum(axis=1)
         d_w += u_w * (s0c - c * w) / (2.0 * w * sqw)
-        d_w += np.einsum("ck,ck->k", g, bp[:c]) / (2.0 * w * sqw)
-        d_w += np.einsum("ck,ck->k", g, cp[:c]) / (2.0 * w * sq2w)
-        d_w -= (g * tot[:c, None]).sum(axis=0) / w
+        d_w += np.einsum("bck,bck->bk", g, bp[:, :c]) / (2.0 * w * sqw)
+        d_w += np.einsum("bck,bck->bk", g, cp[:, :c]) / (2.0 * w * sq2w)
+        d_w -= (g * tot[:, :c, None]).sum(axis=1) / w
 
         d_mu += (
-            ha - u_mu * (s0c / sqw)[:, None] - 2.0 * u_var * ga / sq2w[:, None]
+            ha - u_mu * (s0c / sqw)[..., None] - 2.0 * u_var * ga / sq2w[:, None]
         ) / sigma
         d_var += (
             hq - u_mu * ga / sqw[:, None] - 2.0 * u_var * ga2 / sq2w[:, None]
@@ -242,8 +280,9 @@ def _backward(features, params, gamma, upstream, want_input: bool) -> tuple:
 
         if want_input:
             direct = g @ direct_mu_coef
-            direct += direct_var[:c]
-            d_x[start : start + c] += direct
+            direct += direct_var[:, :c]
+            d_x[:, start : start + c] += direct
 
     d_x /= t
-    return d_w / t, d_mu / t, d_var / t, d_x
+    d_w, d_mu, d_var = _unstack(n_images, d_w / t, d_mu / t, d_var / t)
+    return d_w, d_mu, d_var, d_x.reshape(b * t, d)

@@ -27,15 +27,21 @@ ZETA_LIMIT = 30.0
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Passes that form (rows, K, D) intermediates stream over slabs of this many
-# points: the E-step's never exceeds CHUNK_ROWS * K * D values, and the
-# encoder's backward groups its sums per slab but walks it in tiles of
-# fisher.TILE_VALUES. What still grows with T is O(T * K) or O(T * D).
-# Fixed so results are reproducible bit for bit.
+# The encoder's backward groups its parameter sums per slab of this many
+# points, and no E-step tile or image stack holds more. Fixed so results
+# are reproducible bit for bit.
 CHUNK_ROWS = 1024
+
+# Passes that form (rows, K, D) intermediates walk them in tiles of at most
+# this many values (1 MiB of float64 per buffer): the E-step and the
+# encoder's backward, whose tiles carry each slab's sums in row order. An
+# image stack holds at most this many T * K * D values. What still grows
+# with T is O(T * K) or O(T * D).
+TILE_VALUES = 131072
 
 __all__ = [
     "CHUNK_ROWS",
+    "TILE_VALUES",
     "VARIANCE_FLOOR",
     "NU_LIMIT",
     "ZETA_LIMIT",
@@ -145,27 +151,32 @@ def _check_features(features: np.ndarray, dim: int | None = None) -> np.ndarray:
 def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
     """Per-point, per-component log-densities, shape (T, K).
 
-    Streamed over CHUNK_ROWS-row slabs; each row's arithmetic does not depend
-    on the slab it falls in, so the result is independent of CHUNK_ROWS.
+    Walks the rows in tiles of at most CHUNK_ROWS rows and TILE_VALUES
+    (rows, K, D) values through one buffer; each row's arithmetic does not
+    depend on the tile it falls in, so the result is independent of both.
     """
     mu = params.means
-    var = params.variances
+    k, d = mu.shape
     # constant per component, then the quadratic form
-    const = -0.5 * np.sum(LOG_2PI + np.log(var), axis=1)  # (K,)
-    inv_var = 1.0 / var
-    out = np.empty((features.shape[0], params.n_components))
-    for start in range(0, features.shape[0], CHUNK_ROWS):
-        diff = features[start : start + CHUNK_ROWS, None, :] - mu[None]  # (c, K, D)
+    const = -0.5 * (LOG_2PI + np.log(params.variances)).sum(axis=1)  # (K,)
+    inv_var = 1.0 / params.variances
+    t = features.shape[0]
+    tile = max(1, min(TILE_VALUES // (k * d), CHUNK_ROWS, t))
+    buf = np.empty((tile, k, d))
+    out = np.empty((t, k))
+    for lo in range(0, t, tile):
+        rows = features[lo : lo + tile]
+        diff = buf[: rows.shape[0]]
+        np.subtract(rows[:, None, :], mu, out=diff)
         diff *= diff
-        quad = np.einsum("tkd,kd->tk", diff, inv_var)
-        out[start : start + CHUNK_ROWS] = const[None, :] - 0.5 * quad
+        out[lo : lo + tile] = const - 0.5 * np.einsum("tkd,kd->tk", diff, inv_var)
     return out
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """(T, 1) log of the row sums of exp(a), shifted by the row maxima."""
+    m = a.max(axis=1, keepdims=True)
+    return m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))
 
 
 def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -173,13 +184,12 @@ def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
 
     Computed entirely in the log domain so that badly scaled inputs only
     shift log-densities instead of overflowing them. Rows sum to one.
-    Memory is O(T * K + CHUNK_ROWS * K * D): no (T, K, D) array is formed.
+    Memory is O(T * K) plus one tile buffer: no (T, K, D) array is formed.
     """
     features = _check_features(features, params.dim)
     log_dens = _log_density_matrix(features, params)
     log_joint = log_dens + np.log(params.weights)[None, :]
-    log_norm = _logsumexp(log_joint, axis=1)
-    return np.exp(log_joint - log_norm[:, None])
+    return np.exp(log_joint - _logsumexp(log_joint))
 
 
 def _kmeanspp_centers(
@@ -286,7 +296,7 @@ def em_fit(
     Stops when the mean log-likelihood improves by less than `tol` in
     relative terms. A component whose posterior mass starves (below 1e-12)
     is re-seeded to a random data point and logged as a warning. Memory is
-    O(T * K + T * D + CHUNK_ROWS * K * D): the E-step streams its (rows, K, D)
+    O(T * K + T * D) plus one tile buffer: the E-step walks its (rows, K, D)
     intermediate like `posteriors` does.
     """
     features = _check_features(features, init.dim)
@@ -299,9 +309,9 @@ def em_fit(
     for _ in range(max_iter):
         log_dens = _log_density_matrix(features, params)
         log_joint = log_dens + np.log(params.weights)[None, :]
-        log_norm = _logsumexp(log_joint, axis=1)
-        mean_ll = float(log_norm.mean())
-        gamma = np.exp(log_joint - log_norm[:, None])
+        log_norm = _logsumexp(log_joint)
+        mean_ll = float(log_norm[:, 0].mean())
+        gamma = np.exp(log_joint - log_norm)
 
         nk = gamma.sum(axis=0)
         starved = nk < 1e-12
@@ -333,8 +343,13 @@ def em_fit(
     return params
 
 
+def _clamp(values: np.ndarray, limit: float) -> np.ndarray:
+    """np.clip(values, -limit, limit), without its per-call Python overhead."""
+    return np.minimum(np.maximum(values, -limit), limit)
+
+
 def _clamped_logistic(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    clamped = np.clip(nu, -NU_LIMIT, NU_LIMIT)
+    clamped = _clamp(nu, NU_LIMIT)
     s = 1.0 / (1.0 + np.exp(-clamped))
     return s, clamped
 
@@ -349,7 +364,7 @@ def reparam_forward(raw: RawGmmParams) -> GmmParams:
     """
     s, _ = _clamped_logistic(np.asarray(raw.nu, dtype=np.float64))
     weights = s / s.sum()
-    zeta = np.clip(np.asarray(raw.zeta, dtype=np.float64), -ZETA_LIMIT, ZETA_LIMIT)
+    zeta = _clamp(np.asarray(raw.zeta, dtype=np.float64), ZETA_LIMIT)
     variances = raw.epsilon + np.exp(zeta)
     return GmmParams(weights, np.array(raw.means, dtype=np.float64, copy=True), variances)
 

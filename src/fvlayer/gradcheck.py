@@ -81,7 +81,7 @@ def fd_jacobian(func, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
 
 def fv_forward_naive(features: np.ndarray, params: GmmParams) -> np.ndarray:
     """Literal per-point accumulation of the encoding. Test oracle only."""
-    features = _check_inputs(features, params)
+    features, _ = _check_inputs(features, params)
     t = features.shape[0]
     k, d = params.n_components, params.dim
     sigma = np.sqrt(params.variances)
@@ -103,7 +103,7 @@ def fv_forward_naive(features: np.ndarray, params: GmmParams) -> np.ndarray:
 
 def _onehot_backwards(features: np.ndarray, params: GmmParams) -> list[tuple]:
     """fv_backward for each one-hot upstream, in encoding order."""
-    features = _check_inputs(features, params)
+    features, _ = _check_inputs(features, params)
     gamma = posteriors(features, params)
     eye = np.eye(fv_length(params.n_components, params.dim))
     return [fv_backward(features, params, gamma, one_hot) for one_hot in eye]
@@ -133,7 +133,7 @@ def posterior_grad_input(features: np.ndarray, params: GmmParams) -> np.ndarray:
     Returns (T, K, D): entry [t, k, e] is d gamma_k(x_t) / d x_t[e]. Point t
     only influences its own posterior row.
     """
-    features = _check_inputs(features, params)
+    features, _ = _check_inputs(features, params)
     gamma = posteriors(features, params)
     beta = (features[:, None, :] - params.means[None]) / params.variances[None]
     pooled = np.einsum("tk,tkd->td", gamma, beta)
@@ -154,7 +154,7 @@ def posterior_grad_params(
     Sized for small verification instances; the training path never
     materializes these tensors.
     """
-    features = _check_inputs(features, params)
+    features, _ = _check_inputs(features, params)
     gamma = posteriors(features, params)
     k = params.n_components
     w = params.weights
@@ -393,13 +393,18 @@ def check_end_to_end(
     n_points: int = 4,
     n_images: int = 2,
     step: float = DEFAULT_STEP,
-) -> float:
+) -> tuple[float, float, float]:
     """Whole-chain gradient check on a micro configuration.
 
     Scalar loss sum_i -y_i theta^T phi(F(tanh(W x~_i + b))) differentiated
     against every trainable coordinate (nu, zeta, means, weight, bias) by
-    the trainer's own per-image gradient (pipeline._grad_chunk), compared to
-    central differences through the Encoder's forward pass.
+    the trainer's own per-image gradient (pipeline._grad_chunk, which
+    stacks equal-size images into one batched pass), compared to central
+    differences through the Encoder's forward pass on one image at a time.
+
+    Returns (max_rel_error with its ABS_FLOOR, which is what a gate
+    bounds; the unfloored largest absolute gap; the unfloored largest
+    relative gap), so a report can show drift below the floor.
     """
     rng = np.random.default_rng(seed + 5000)
     k, d = n_components, dim
@@ -424,7 +429,7 @@ def check_end_to_end(
         )
         total = 0.0
         for y, xt in zip(labels, inputs):
-            total += -y * float(theta @ encoder.forward(xt)[0])
+            total += -y * float(theta @ encoder.forward(xt[None])[0][0])
         return np.array([total])
 
     packed = np.concatenate(
@@ -441,7 +446,10 @@ def check_end_to_end(
         sum(entry[key] for entry in entries).ravel()
         for key in ("d_nu", "d_zeta", "d_means", "d_weight", "d_bias")
     ])
-    return max_rel_error(analytic, numeric)
+    gap = np.abs(analytic - numeric)
+    scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0)
+    return max_rel_error(analytic, numeric), float(gap.max()), float(rel.max())
 
 
 def battery_instances() -> list[tuple[int, int, int]]:
@@ -464,5 +472,5 @@ def run_battery(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, float]:
         fold({"norm/input": check_norm_block(fv_length(k, d), inst_seed, step)})
         fold(check_reparam_blocks(k, d, inst_seed, step))
         fold(check_layer_blocks(d, t, inst_seed, step))
-    fold({"end_to_end": check_end_to_end(seed)})
+    fold({"end_to_end": check_end_to_end(seed)[0]})
     return worst

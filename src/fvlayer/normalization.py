@@ -3,10 +3,14 @@
 forward: v -> sign(v) |v|^alpha, then division by the L2 norm.
 backward: exact Jacobian-transpose product for alpha = 0.5. Other exponents
 are forward-only; asking for their gradient raises.
+
+Both take one vector or a (B, length) stack, normalized row by row; each
+row's norm and dot product is its own call, so it rounds as it would alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +31,28 @@ class NormConfig:
 _DEFAULT = NormConfig()
 
 
-def norm_forward(vector: np.ndarray, config: NormConfig = _DEFAULT) -> np.ndarray:
+def _check_vectors(vector: np.ndarray) -> np.ndarray:
     vector = np.asarray(vector, dtype=np.float64)
-    if vector.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {vector.shape}")
+    if vector.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D vector or a 2-D stack, got shape {vector.shape}")
+    return vector
+
+
+def _norm(row: np.ndarray) -> float:
+    """L2 norm of one vector, by one BLAS dot as np.linalg.norm computes it."""
+    return math.sqrt(row.dot(row))
+
+
+def norm_forward(vector: np.ndarray, config: NormConfig = _DEFAULT) -> np.ndarray:
+    vector = _check_vectors(vector)
     compressed = np.sign(vector) * np.abs(vector) ** config.alpha
-    norm = float(np.linalg.norm(compressed))
-    if norm == 0.0:
-        return np.zeros_like(compressed)
-    return compressed / norm
+    rows = compressed.reshape(-1, vector.shape[-1])
+    out = np.zeros(rows.shape)  # a zero vector normalizes to zero
+    for row, dst in zip(rows, out):
+        norm = _norm(row)
+        if norm != 0.0:
+            np.divide(row, norm, out=dst)
+    return out.reshape(vector.shape)
 
 
 def norm_backward(
@@ -46,25 +63,29 @@ def norm_backward(
     With xhat = sign(v) sqrt(|v|) and phi = xhat / ||xhat||, the Jacobian is
     (I - phi phi^T) / ||xhat|| composed with diag(1 / (2 |xhat_i|)); this
     returns its transpose applied to `upstream`. Coordinates with
-    |v_i| < eps get zero gradient. Only alpha = 0.5 is supported.
+    |v_i| < eps get zero gradient, as does a vector with xhat = 0. Only
+    alpha = 0.5 is supported.
     """
     if config.alpha != 0.5:
         raise ValueError(
             f"backward pass only supports alpha = 0.5, got {config.alpha}"
         )
-    vector = np.asarray(vector, dtype=np.float64)
+    vector = _check_vectors(vector)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if vector.shape != upstream.shape or vector.ndim != 1:
+    if vector.shape != upstream.shape:
         raise ValueError(
-            f"vector {vector.shape} and upstream {upstream.shape} must be equal 1-D"
+            f"vector {vector.shape} and upstream {upstream.shape} must be equal"
         )
-    xhat = np.sign(vector) * np.sqrt(np.abs(vector))
-    norm = float(np.linalg.norm(xhat))
-    if norm == 0.0:
-        return np.zeros_like(vector)
+    rows = vector.reshape(-1, vector.shape[-1])
+    ups = upstream.reshape(rows.shape)
+    xhat = np.sign(rows) * np.sqrt(np.abs(rows))
+    norm = np.array([[_norm(row)] for row in xhat])
+    flat = norm == 0.0
+    norm[flat] = 1.0
     phi = xhat / norm
-    projected = upstream - phi * float(phi @ upstream)
-    live = np.abs(vector) >= config.eps
-    out = np.zeros_like(vector)
-    out[live] = projected[live] / (2.0 * np.abs(xhat[live]) * norm)
-    return out
+    along = np.array([[float(p @ u)] for p, u in zip(phi, ups)])
+    projected = ups - phi * along
+    live = (np.abs(rows) >= config.eps) & ~flat
+    out = np.zeros_like(rows)
+    np.divide(projected, 2.0 * np.abs(xhat) * norm, out=out, where=live)
+    return out.reshape(vector.shape)

@@ -4,17 +4,20 @@ Phase one fits the mixture (k-means++ and EM) on pooled points, prepares the
 feature-layer inputs by inversion, and trains one SVM per class on the fixed
 encodings. Phase two alternates SGD steps on the encoder parameters (driven
 by the classifiers' backward signal) with warm-started SVM retraining.
-Every encode and every backward goes through one `Encoder`.
+Every encode and every backward goes through one `Encoder`, on stacks of
+equal-size images (see `_stacks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import gmm
 from .data_io import CheckpointData, Dataset, subsample
 from .feature_layer import (
     FeatureLayerParams,
@@ -24,7 +27,13 @@ from .feature_layer import (
     layer_forward,
     xavier_init,
 )
-from .fisher import SufficientStats, fv_backward, fv_backward_params, fv_forward
+from .fisher import (
+    SufficientStats,
+    fv_backward,
+    fv_backward_params,
+    fv_forward,
+    fv_length,
+)
 from .gmm import (
     GmmParams,
     RawGmmParams,
@@ -112,13 +121,13 @@ class EvalReport:
 
 @dataclass
 class EncoderCache:
-    """What Encoder.backward needs from the forward pass of one image."""
+    """What Encoder.backward needs from the forward pass of an image stack."""
 
-    inputs: np.ndarray  # (T, D) layer inputs
-    points: np.ndarray  # (T, D) layer outputs, the points the mixture encodes
-    fv: np.ndarray  # encoding before normalization
-    gamma: np.ndarray  # (T, K) posteriors
-    stats: SufficientStats
+    inputs: np.ndarray  # (B * T, D) layer inputs
+    points: np.ndarray  # (B * T, D) layer outputs, the points the mixture encodes
+    fv: np.ndarray  # (B, length) encodings before normalization
+    gamma: np.ndarray  # (B * T, K) posteriors
+    stats: SufficientStats  # per image, with a leading image axis
 
 
 @dataclass
@@ -126,37 +135,73 @@ class Encoder:
     """The differentiable chain: feature layer, Fisher encoding, power + L2
     normalization. A None layer is the identity map.
 
-    The stages are looked up as module globals at call time, so a wrapper
-    installed on this module's names sees every call.
+    It works on a stack of B images of equal point count T, and each image's
+    results are bit for bit those of a stack of one. The stages are looked
+    up as module globals at call time, so a wrapper installed on this
+    module's names sees every call.
     """
 
     params: GmmParams
     layer: FeatureLayerParams | None = None
 
     def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
-        """Normalized encoding of one image's (T, D) inputs, plus its cache."""
-        points = inputs if self.layer is None else layer_forward(inputs, self.layer)
-        fv, gamma, stats = fv_forward(points, self.params)
-        return norm_forward(fv), EncoderCache(inputs, points, fv, gamma, stats)
+        """Normalized (B, length) encodings of a (B, T, D) stack, plus its cache."""
+        b, t, d = inputs.shape
+        rows = inputs.reshape(b * t, d)
+        points = rows if self.layer is None else layer_forward(rows, self.layer, b)
+        fv, gamma, stats = fv_forward(points, self.params, b)
+        return norm_forward(fv), EncoderCache(rows, points, fv, gamma, stats)
 
     def backward(
         self, cache: EncoderCache, d_encoding: np.ndarray, want_input: bool = True
     ) -> tuple:
-        """Contract d_encoding (on the normalized encoding) through the chain.
+        """Contract (B, length) d_encoding (on the normalized encodings)
+        through the chain.
 
         Returns (d_weights, d_means, d_variances, d_layer_weight, d_layer_bias,
-        d_inputs). The last three are None when want_input is false, which
-        skips the whole d_features pass; the layer terms are None under the
-        identity map.
+        d_inputs), each with a leading image axis; d_inputs is (B, T, D). The
+        last three are None when want_input is false, which skips the whole
+        d_features pass; the layer terms are None under the identity map.
         """
+        b = cache.fv.shape[0]
         d_fv = norm_backward(cache.fv, d_encoding)
         if not want_input:
-            return (*fv_backward_params(cache.points, self.params, cache.gamma, d_fv),
+            return (*fv_backward_params(cache.points, self.params, cache.gamma, d_fv, b),
                     None, None, None)
-        d_w, d_mu, d_var, d_x = fv_backward(cache.points, self.params, cache.gamma, d_fv)
+        d_w, d_mu, d_var, d_x = fv_backward(cache.points, self.params, cache.gamma, d_fv, b)
         if self.layer is None:
-            return d_w, d_mu, d_var, None, None, d_x
-        return d_w, d_mu, d_var, *layer_backward(cache.inputs, self.layer, d_x)
+            return d_w, d_mu, d_var, None, None, d_x.reshape(b, -1, d_x.shape[1])
+        d_weight, d_bias, d_in = layer_backward(
+            cache.inputs, self.layer, d_x, cache.points, b
+        )
+        return d_w, d_mu, d_var, d_weight, d_bias, d_in.reshape(b, -1, d_in.shape[1])
+
+
+def _stacks(images: list[np.ndarray], unit: int) -> list[list[int]]:
+    """Indices of `images` grouped by equal point count T (groups in order
+    of first appearance, indices ascending), in stacks of at most
+    TILE_VALUES // (T * unit) images, unit being K * D, and at most
+    CHUNK_ROWS points, so a stack's (rows, K, D) tile and its per-point
+    arrays stay within the bounds of one image's slab. An image above
+    that budget is a stack of its own, tiled by row inside the kernels."""
+    groups: dict[int, list[int]] = {}
+    for index, image in enumerate(images):
+        groups.setdefault(image.shape[0], []).append(index)
+    out = []
+    for t, indices in groups.items():
+        size = max(1, min(gmm.TILE_VALUES // (t * unit), gmm.CHUNK_ROWS // t))
+        out.extend(indices[s : s + size] for s in range(0, len(indices), size))
+    return out
+
+
+def _forward_stacks(encoder: Encoder, images: list[np.ndarray], prepare=np.asarray):
+    """Yield (indices, encodings, cache) for each stack of `images`, each
+    image passed through `prepare` as its stack is built."""
+    unit = encoder.params.n_components * encoder.params.dim
+    for indices in _stacks(images, unit):
+        stack = np.stack([prepare(images[i]) for i in indices], dtype=np.float64)
+        encodings, cache = encoder.forward(stack)
+        yield indices, encodings, cache
 
 
 @dataclass
@@ -207,13 +252,14 @@ class TrainState:
 
 
 def _encode_chunk(
-    chunk: list[np.ndarray], encoder: Encoder
+    chunk: list[np.ndarray], encoder: Encoder, prepare=np.asarray
 ) -> list[tuple[np.ndarray, int]]:
-    """(encoding, starved component count) per image."""
-    out = []
-    for inputs in chunk:
-        encoding, cache = encoder.forward(inputs)
-        out.append((encoding, cache.stats.starved_count()))
+    """(encoding, starved component count) per image, of its inputs
+    `prepare(image)`."""
+    out: list = [None] * len(chunk)
+    for indices, encodings, cache in _forward_stacks(encoder, chunk, prepare):
+        for i, encoding, starved in zip(indices, encodings, cache.stats.starved_count()):
+            out[i] = (encoding, int(starved))
     return out
 
 
@@ -225,26 +271,29 @@ def _grad_chunk(
     update_gmm: bool,
     update_layer: bool,
 ) -> list[dict]:
+    """Loss, starved count and parameter gradients per (inputs, label row)."""
     encoder = Encoder(reparam_forward(raw), layer)
     signal = thetas[:, :-1]  # bias never reaches the encoder
-    out = []
-    for inputs, label_row in chunk:
-        encoding, cache = encoder.forward(inputs)
-        upstream = -(label_row @ signal)
-        entry: dict = {
-            "loss": float(upstream @ encoding),
-            "starved": cache.stats.starved_count(),
-        }
+    out: list = [None] * len(chunk)
+    stacks = _forward_stacks(encoder, [inputs for inputs, _ in chunk])
+    for indices, encodings, cache in stacks:
+        upstream = np.stack([-(chunk[i][1] @ signal) for i in indices])
+        starved = cache.stats.starved_count()
         if update_gmm or update_layer:
             d_w, d_mu, d_var, d_weight, d_bias, _ = encoder.backward(
                 cache, upstream, want_input=update_layer
             )
+        for j, i in enumerate(indices):
+            entry: dict = {
+                "loss": float(upstream[j] @ encodings[j]),
+                "starved": int(starved[j]),
+            }
             if update_gmm:
-                entry["d_nu"], entry["d_zeta"] = reparam_backward(raw, d_w, d_var)
-                entry["d_means"] = d_mu
+                entry["d_nu"], entry["d_zeta"] = reparam_backward(raw, d_w[j], d_var[j])
+                entry["d_means"] = d_mu[j]
             if update_layer:
-                entry["d_weight"], entry["d_bias"] = d_weight, d_bias
-        out.append(entry)
+                entry["d_weight"], entry["d_bias"] = d_weight[j], d_bias[j]
+            out[i] = entry
     return out
 
 
@@ -466,25 +515,36 @@ class _MetricsWriter:
             self._fh.close()
 
 
-def checkpoint_encode(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
-    """Encode raw features with a loaded checkpoint.
+def _checkpoint_inputs(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
+    """Encoder inputs of raw features under a loaded checkpoint.
 
     The stored layer, when present, already includes the inversion basis,
     so it applies directly to atanh of the clamped features; without one the
     mixture encodes the clamped features themselves.
     """
     x = clamp_features(features)
-    if checkpoint.layer is not None:
-        x = np.arctanh(x)
-    return Encoder(reparam_forward(checkpoint.raw), checkpoint.layer).forward(x)[0]
+    return np.arctanh(x) if checkpoint.layer is not None else x
+
+
+def _checkpoint_encoder(checkpoint: CheckpointData) -> Encoder:
+    return Encoder(reparam_forward(checkpoint.raw), checkpoint.layer)
+
+
+def checkpoint_encode(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
+    """Encode one image's raw features with a loaded checkpoint."""
+    x = _checkpoint_inputs(checkpoint, features)
+    return _checkpoint_encoder(checkpoint).forward(x[None])[0][0]
 
 
 def evaluate_checkpoint(
     checkpoint: CheckpointData, dataset: Dataset
 ) -> list[EvalReport]:
-    encodings = np.stack(
-        [checkpoint_encode(checkpoint, item.features) for item in dataset.items]
+    encoded = _encode_chunk(
+        [item.features for item in dataset.items],
+        _checkpoint_encoder(checkpoint),
+        partial(_checkpoint_inputs, checkpoint),
     )
+    encodings = np.stack([encoding for encoding, _ in encoded])
     labels = dataset.label_matrix()
     reports = []
     for class_index, theta in enumerate(checkpoint.thetas):
@@ -535,8 +595,11 @@ def shift_demo(
     separations = np.empty(steps + 1)
     alpha = None
     for step in range(steps + 1):
-        encoded, caches = zip(*(encoder.forward(cloud) for cloud in clouds))
-        encodings = np.stack(encoded)
+        encodings = np.empty((len(clouds), fv_length(n_components, pooled.shape[1])))
+        stacks = []
+        for indices, encoded, cache in _forward_stacks(encoder, clouds):
+            encodings[indices] = encoded
+            stacks.append((indices, cache))
         svm = sdca_train(
             encodings,
             labels,
@@ -555,9 +618,10 @@ def shift_demo(
         if step == steps:
             break
         upstreams = backward_signal(labels, svm)
-        for cloud, cache, upstream in zip(clouds, caches, upstreams):
-            *_, d_x = encoder.backward(cache, upstream)
-            cloud -= eta * d_x
+        for indices, cache in stacks:
+            *_, d_x = encoder.backward(cache, upstreams[indices])
+            for i, d_cloud in zip(indices, d_x):
+                clouds[i] -= eta * d_cloud
     return ShiftDemoResult(
         image_ids=[item.image_id for item in dataset.items],
         labels=labels,

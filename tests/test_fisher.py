@@ -174,13 +174,15 @@ def test_backward_independent_of_chunk_size(monkeypatch):
     base = fv_backward(feats, params, gamma, upstream)
     base_fit = em_fit(feats, params)
     # tiles inside a chunk carry their sums in row order: bit-equal
-    monkeypatch.setattr(fisher, "TILE_VALUES", 13)
+    monkeypatch.setattr(gmm, "TILE_VALUES", 13)
     tiled = fv_backward(feats, params, gamma, upstream)
     for a, b in zip(base, tiled):
         np.testing.assert_array_equal(b, a)
     for a, b in zip(base, fv_backward_params(feats, params, gamma, upstream)):
         np.testing.assert_array_equal(b, a)
-    # one constant sets the slabs of the E-step and of the backward pass
+    # the E-step walks tiles of the same budget, two rows each here
+    np.testing.assert_array_equal(posteriors(feats, params), gamma)
+    # one constant sets the slabs of the backward pass and caps E-step tiles
     monkeypatch.setattr(gmm, "CHUNK_ROWS", 7)
     chunked = fv_backward(feats, params, gamma, upstream)
     for a, b in zip(base, chunked):

@@ -55,7 +55,7 @@ def test_phase1_produces_consistent_state(dataset):
         assert (state.to_checkpoint().layer is not None) == mode.updates_layer
         np.testing.assert_allclose(
             checkpoint_encode(state.to_checkpoint(), dataset.items[0].features),
-            state.encoder().forward(state.inputs[0])[0],
+            state.encoder().forward(state.inputs[0][None])[0][0],
             rtol=1e-10, atol=1e-12)
 
 
@@ -187,7 +187,7 @@ def test_metrics_file_schema(dataset, tmp_path):
 def test_checkpoint_eval_matches_state_eval(dataset, tmp_path, mode):
     state = train(dataset, tiny_config(mode=mode, joint_epochs=1))
     encoder = state.encoder()
-    encodings = np.stack([encoder.forward(x)[0] for x in state.inputs])
+    encodings = np.stack([encoder.forward(x[None])[0][0] for x in state.inputs])
     path = tmp_path / "m.fvmd"
     write_checkpoint(path, state.to_checkpoint())
     loaded = evaluate_checkpoint(read_checkpoint(path), dataset)
@@ -205,7 +205,7 @@ def test_checkpoint_encode_matches_state_encode(dataset):
     checkpoint = state.to_checkpoint()
     features = dataset.items[0].features
     np.testing.assert_allclose(checkpoint_encode(checkpoint, features),
-                               state.encoder().forward(state.inputs[0])[0],
+                               state.encoder().forward(state.inputs[0][None])[0][0],
                                rtol=1e-10, atol=1e-12)
 
 
