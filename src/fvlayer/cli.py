@@ -206,13 +206,10 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     threads = resolve_workers(args.threads)
-    rows = []
-    for k in args.k:
-        for d in args.d:
+    # rows are timed in this process; only --speedup uses the workers
+    rows = [row for k in args.k for d in args.d
             for row in scaling_in_t(args.t, k=k, d=d, seed=args.seed,
-                                    repeats=args.repeats):
-                row.threads = threads
-                rows.append(row)
+                                    repeats=args.repeats)]
     text = format_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -307,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_list, default=[16])
     p.add_argument("--d", type=_int_list, default=[32])
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="workers for --speedup; CSV rows are timed in one process")
     p.add_argument("--speedup", action="store_true",
                    help="also time a 24-image batch at 1 vs --threads workers")
     p.add_argument("--seed", type=int, default=0)

@@ -146,9 +146,15 @@ def read_features(path: str | Path) -> np.ndarray:
     reader.version()
     t = reader.u32("point count")
     d = reader.u32("dimension")
-    values = reader.f64(t * d, f"{t}x{d} payload")
+    values = reader.f64(t * d, f"{t}x{d} payload").reshape(t, d)
     reader.done()
-    return values.reshape(t, d)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.unravel_index(int(np.argmin(finite)), values.shape)
+        raise FileFormatError(
+            f"{path}: non-finite value {values[row, col]} at row {row}, column {col}"
+        )
+    return values
 
 
 @dataclass

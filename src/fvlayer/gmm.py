@@ -348,10 +348,8 @@ def _clamp(values: np.ndarray, limit: float) -> np.ndarray:
     return np.minimum(np.maximum(values, -limit), limit)
 
 
-def _clamped_logistic(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    clamped = _clamp(nu, NU_LIMIT)
-    s = 1.0 / (1.0 + np.exp(-clamped))
-    return s, clamped
+def _clamped_logistic(nu: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-_clamp(nu, NU_LIMIT)))
 
 
 def reparam_forward(raw: RawGmmParams) -> GmmParams:
@@ -362,7 +360,7 @@ def reparam_forward(raw: RawGmmParams) -> GmmParams:
     clamped to [-ZETA_LIMIT, ZETA_LIMIT] so exp never overflows. Valid for
     every real raw value, so no projection step exists anywhere in training.
     """
-    s, _ = _clamped_logistic(np.asarray(raw.nu, dtype=np.float64))
+    s = _clamped_logistic(np.asarray(raw.nu, dtype=np.float64))
     weights = s / s.sum()
     zeta = _clamp(np.asarray(raw.zeta, dtype=np.float64), ZETA_LIMIT)
     variances = raw.epsilon + np.exp(zeta)
@@ -377,19 +375,22 @@ def reparam_backward(
     d nu_j = s'(nu_j) * (d_weights_j - sum_k d_weights_k * weights_k) / Z
     with Z the logistic normalizer; d zeta = d_variances * exp(zeta).
     Coordinates beyond either clamp get zero, matching the flat forward.
+    d_weights (K,) and d_variances (K, D) may carry a leading image axis,
+    (B, K) and (B, K, D); each image's rows are then bit for bit its
+    one-image results, since the sum over k stays one dot per image.
     """
     nu = np.asarray(raw.nu, dtype=np.float64)
-    s, clamped = _clamped_logistic(nu)
+    s = _clamped_logistic(nu)
     z = s.sum()
     weights = s / z
     sprime = s * (1.0 - s)
-    inner = d_weights - float(np.dot(d_weights, weights))
+    d_weights = np.asarray(d_weights, dtype=np.float64)
+    dots = [np.dot(row, weights) for row in d_weights.reshape(-1, weights.shape[0])]
+    inner = d_weights - np.reshape(dots, d_weights.shape[:-1] + (1,))
     d_nu = sprime * inner / z
     d_nu = np.where(np.abs(nu) > NU_LIMIT, 0.0, d_nu)
     zeta = np.asarray(raw.zeta, dtype=np.float64)
-    d_zeta = np.asarray(d_variances, dtype=np.float64) * np.exp(
-        np.clip(zeta, -ZETA_LIMIT, ZETA_LIMIT)
-    )
+    d_zeta = np.asarray(d_variances, dtype=np.float64) * np.exp(_clamp(zeta, ZETA_LIMIT))
     d_zeta = np.where(np.abs(zeta) > ZETA_LIMIT, 0.0, d_zeta)
     return d_nu, d_zeta
 

@@ -283,13 +283,15 @@ def _grad_chunk(
             d_w, d_mu, d_var, d_weight, d_bias, _ = encoder.backward(
                 cache, upstream, want_input=update_layer
             )
+        if update_gmm:
+            d_nu, d_zeta = reparam_backward(raw, d_w, d_var)
         for j, i in enumerate(indices):
             entry: dict = {
                 "loss": float(upstream[j] @ encodings[j]),
                 "starved": int(starved[j]),
             }
             if update_gmm:
-                entry["d_nu"], entry["d_zeta"] = reparam_backward(raw, d_w[j], d_var[j])
+                entry["d_nu"], entry["d_zeta"] = d_nu[j], d_zeta[j]
                 entry["d_means"] = d_mu[j]
             if update_layer:
                 entry["d_weight"], entry["d_bias"] = d_weight[j], d_bias[j]

@@ -47,6 +47,18 @@ def _check_training_set(vectors: np.ndarray, labels: np.ndarray) -> None:
         raise ValueError("labels must be -1 or +1")
     if n < 2 or np.all(labels == labels[0]):
         raise ValueError("training set must contain both labels")
+    _check_finite(vectors, "vectors")
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Reject NaN or inf, naming the first bad entry and its row."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = np.unravel_index(int(np.argmin(finite)), values.shape)
+        where = ", ".join(str(int(i)) for i in index)
+        raise ValueError(
+            f"{name} row {index[0]} is not finite: {name}[{where}] = {values[index]}"
+        )
 
 
 def _objectives(
@@ -96,23 +108,36 @@ def sdca_train(
     if init_alpha is not None:
         if init_alpha.shape != (n,):
             raise ValueError(f"init_alpha shape {init_alpha.shape} must be ({n},)")
+        _check_finite(init_alpha, "init_alpha")
         alpha = np.clip(init_alpha.astype(np.float64, copy=True), 0.0, box)
     else:
         alpha = np.zeros(n)
     theta = augmented.T @ (alpha * labels)
 
+    # Scalar work runs on Python floats, since numpy's per-call overhead on
+    # 0-d values would dominate an update at small dim; only the O(dim) dot
+    # (the BLAS dot that row @ theta calls) and the update touch arrays.
+    # alpha is written back once per epoch, before the objectives read it.
+    rows = list(augmented)
+    ys = labels.tolist()
+    norms = sq_norms.tolist()
+    duals = alpha.tolist()
+    step = np.empty_like(theta)
+    dot, multiply = theta.dot, np.multiply  # theta is only updated in place
     rng = np.random.default_rng(seed)
     primal, dual = _objectives(augmented, labels, theta, alpha, box)
     gap = (primal - dual) / n
     history: list[float] = []
     epochs = 0
     while gap >= gap_tol and epochs < max_epochs:
-        for i in rng.permutation(n):
-            margin = labels[i] * float(augmented[i] @ theta)
-            delta = np.clip(alpha[i] + (1.0 - margin) / sq_norms[i], 0.0, box) - alpha[i]
+        for i in rng.permutation(n).tolist():
+            row, y, old = rows[i], ys[i], duals[i]
+            margin = y * float(dot(row))
+            delta = min(max(old + (1.0 - margin) / norms[i], 0.0), box) - old
             if delta != 0.0:
-                alpha[i] += delta
-                theta += delta * labels[i] * augmented[i]
+                duals[i] = old + delta
+                theta += multiply(row, delta * y, step)
+        alpha[:] = duals
         epochs += 1
         primal, dual = _objectives(augmented, labels, theta, alpha, box)
         gap = (primal - dual) / n

@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 import fvlayer.gmm as gmm
+import fvlayer.pipeline as pipeline
 from fvlayer.feature_layer import layer_backward, layer_forward, xavier_init
 from fvlayer.fisher import fv_backward, fv_forward, fv_length
-from fvlayer.gmm import GmmParams, raw_from_params
+from fvlayer.gmm import (
+    NU_LIMIT,
+    ZETA_LIMIT,
+    GmmParams,
+    RawGmmParams,
+    raw_from_params,
+    reparam_backward,
+)
 from fvlayer.pipeline import (
     Encoder,
     _encode_chunk,
@@ -154,6 +162,59 @@ def test_grad_and_encode_chunks_match_one_image_calls(case, update_gmm, update_l
         enc_alone, starved_alone = _encode_chunk([image], encoder)[0]
         np.testing.assert_array_equal(enc, enc_alone)
         assert starved == starved_alone
+
+
+def _saturated_raw(k, d, seed):
+    """Raw coordinates with some nu and zeta beyond their clamps, both sides."""
+    rng = np.random.default_rng(seed)
+    nu = rng.normal(0.0, 2.0, size=k)
+    nu[[0, -1]] = NU_LIMIT + 2.5, -NU_LIMIT - 0.5
+    zeta = rng.normal(0.0, 0.5, size=(k, d))
+    zeta[0, -1], zeta[-1, 0] = ZETA_LIMIT + 1.0, -ZETA_LIMIT - 4.0
+    return RawGmmParams(nu, zeta, rng.normal(size=(k, d)))
+
+
+@pytest.mark.parametrize("b", [1, 2, 24])
+def test_reparam_backward_stack_matches_one_image_calls(b):
+    k, d = 5, 3
+    raw = _saturated_raw(k, d, seed=b)
+    rng = np.random.default_rng(100 + b)
+    d_w = rng.normal(size=(b, k))
+    d_var = rng.normal(size=(b, k, d))
+    d_nu, d_zeta = reparam_backward(raw, d_w, d_var)
+    assert d_nu.shape == (b, k) and d_zeta.shape == (b, k, d)
+    for j in range(b):
+        one_nu, one_zeta = reparam_backward(raw, d_w[j], d_var[j])
+        np.testing.assert_array_equal(d_nu[j], one_nu)
+        np.testing.assert_array_equal(d_zeta[j], one_zeta)
+    np.testing.assert_array_equal(d_nu[:, [0, -1]], 0.0)
+    np.testing.assert_array_equal(d_zeta[:, [0, -1], [-1, 0]], 0.0)
+    assert np.all(d_nu[:, 1:-1] != 0.0)
+
+
+@pytest.mark.parametrize("update_layer", [False, True], ids=["theta-gmm", "theta-gmm-feature"])
+def test_grad_chunk_pulls_back_each_stack_in_one_reparam_call(update_layer, monkeypatch):
+    ts, k, d = [32] * 24 + [7] * 3, 3, 2
+    params, layer, images, _ = _instance(ts, k, d, seed=17)
+    raw = _saturated_raw(k, d, seed=17)
+    rng = np.random.default_rng(18)
+    thetas = rng.normal(size=(2, fv_length(k, d) + 1))
+    labels = np.where(rng.random((len(ts), 2)) < 0.5, 1.0, -1.0)
+    chunk = list(zip(images, labels))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return reparam_backward(*args)
+
+    monkeypatch.setattr(pipeline, "reparam_backward", counted)
+    together = _grad_chunk(chunk, raw, layer, thetas, True, update_layer)
+    assert calls == [(24, k), (3, k)]
+    for entry, pair in zip(together, chunk):
+        alone = _grad_chunk([pair], raw, layer, thetas, True, update_layer)[0]
+        assert entry.keys() == alone.keys()
+        for key in entry:
+            np.testing.assert_array_equal(entry[key], alone[key])
 
 
 def test_layer_backward_reuses_the_forward_activation():

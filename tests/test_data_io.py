@@ -81,6 +81,18 @@ def test_features_reject_trailing_bytes(tmp_path):
         read_features(path)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_features_reject_non_finite_payload(tmp_path, bad):
+    features = np.arange(12.0).reshape(4, 3)
+    features[2, 1] = bad
+    features[3, 0] = np.nan  # only the first bad value is named
+    path = tmp_path / "img.fvfs"
+    write_features(path, features)
+    with pytest.raises(FileFormatError,
+                       match=rf"img\.fvfs: non-finite value {bad} at row 2, column 1$"):
+        read_features(path)
+
+
 def test_features_writer_rejects_wrong_rank(tmp_path):
     with pytest.raises(ValueError):
         write_features(tmp_path / "x.fvfs", np.zeros(4))
@@ -251,6 +263,19 @@ def test_load_dataset_missing_feature_file(tmp_path):
     labels = tmp_path / "labels.txt"
     labels.write_text("ghost +1\n")
     with pytest.raises(FileNotFoundError):
+        load_dataset(feats_dir, labels)
+
+
+def test_load_dataset_rejects_non_finite_features(tmp_path):
+    dataset = make_synthetic_2d(3, seed=2, n_points=5)
+    bad = dataset.items[4]
+    bad.features[3, 0] = np.inf
+    feats_dir = tmp_path / "feats"
+    feats_dir.mkdir()
+    labels = tmp_path / "labels.txt"
+    save_dataset(dataset, feats_dir, labels)
+    with pytest.raises(FileFormatError,
+                       match=rf"{bad.image_id}\.fvfs: non-finite value inf at row 3, column 0"):
         load_dataset(feats_dir, labels)
 
 

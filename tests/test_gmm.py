@@ -13,6 +13,7 @@ from fvlayer.gmm import (
     RawGmmParams,
     VARIANCE_FLOOR,
     NU_LIMIT,
+    ZETA_LIMIT,
     em_fit,
     kmeans_init,
     posteriors,
@@ -426,6 +427,28 @@ def test_reparam_backward_clips_saturated_weights():
     )
     d_nu, _ = reparam_backward(raw, np.array([1.0, -1.0]), np.zeros((2, 1)))
     assert d_nu[0] == 0.0  # clipped coordinate carries no gradient
+
+
+def _reference_reparam_backward(raw, d_weights, d_variances):
+    """reparam_backward for one image in its np.clip form, frozen."""
+    s = 1.0 / (1.0 + np.exp(-np.clip(raw.nu, -NU_LIMIT, NU_LIMIT)))
+    z = s.sum()
+    inner = d_weights - float(np.dot(d_weights, s / z))
+    d_nu = np.where(np.abs(raw.nu) > NU_LIMIT, 0.0, s * (1.0 - s) * inner / z)
+    d_zeta = d_variances * np.exp(np.clip(raw.zeta, -ZETA_LIMIT, ZETA_LIMIT))
+    return d_nu, np.where(np.abs(raw.zeta) > ZETA_LIMIT, 0.0, d_zeta)
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (2, 2), (16, 32)])
+def test_reparam_backward_bit_identical_to_reference(k, d):
+    rng = np.random.default_rng(k + d)
+    nu = rng.normal(0.0, 20.0, size=k)  # some beyond NU_LIMIT
+    zeta = rng.normal(0.0, 20.0, size=(k, d))
+    raw = RawGmmParams(nu=nu, zeta=zeta, means=np.zeros((k, d)))
+    d_w, d_var = rng.normal(size=k), rng.normal(size=(k, d))
+    for got, ref in zip(reparam_backward(raw, d_w, d_var),
+                        _reference_reparam_backward(raw, d_w, d_var)):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_reparam_survives_extreme_zeta():

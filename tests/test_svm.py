@@ -98,6 +98,130 @@ def test_sdca_hits_epoch_cap_on_hard_data():
     assert model.gap > 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sdca_rejects_non_finite_vectors(bad):
+    vectors, labels = separable_set(10, margin=0.5, dim=3, seed=8)
+    vectors[6, 2] = bad
+    vectors[8, 0] = np.nan  # only the first bad row is named
+    with pytest.raises(ValueError, match=r"vectors row 6 is not finite: vectors\[6, 2\]"):
+        sdca_train(vectors, labels)
+
+
+def test_sdca_rejects_non_finite_init_alpha():
+    vectors, labels = separable_set(10, margin=0.5, dim=3, seed=8)
+    init = np.full(10, 0.5)
+    init[4] = np.inf
+    with pytest.raises(ValueError, match=r"init_alpha row 4 is not finite"):
+        sdca_train(vectors, labels, init_alpha=init)
+
+
+def _reference_sdca_train(vectors, labels, c=None, gap_tol=0.01, max_epochs=200,
+                          seed=0, init_alpha=None):
+    """sdca_train's coordinate loop on numpy scalars, frozen: the oracle for
+    its bit-exactness contract. Returns (SvmModel, updates clipped at 0,
+    updates clipped at the box)."""
+    n = vectors.shape[0]
+    c = float(n) if c is None else c
+    box = c / n
+    augmented = np.hstack([vectors, np.ones((n, 1))])
+    sq_norms = np.einsum("ij,ij->i", augmented, augmented)
+    if init_alpha is not None:
+        alpha = np.clip(init_alpha.astype(np.float64, copy=True), 0.0, box)
+    else:
+        alpha = np.zeros(n)
+    theta = augmented.T @ (alpha * labels)
+
+    def gap_and_dual():
+        margins = labels * (augmented @ theta)
+        hinge = np.maximum(0.0, 1.0 - margins).sum()
+        reg = 0.5 * float(theta @ theta)
+        dual = float(alpha.sum()) - reg
+        return (reg + box * hinge - dual) / n, dual
+
+    rng = np.random.default_rng(seed)
+    gap, _ = gap_and_dual()
+    history, epochs, at_zero, at_box = [], 0, 0, 0
+    while gap >= gap_tol and epochs < max_epochs:
+        for i in rng.permutation(n):
+            margin = labels[i] * float(augmented[i] @ theta)
+            target = alpha[i] + (1.0 - margin) / sq_norms[i]
+            at_zero += bool(target < 0.0)
+            at_box += bool(target > box)
+            delta = np.clip(target, 0.0, box) - alpha[i]
+            if delta != 0.0:
+                alpha[i] += delta
+                theta += delta * labels[i] * augmented[i]
+        epochs += 1
+        gap, dual = gap_and_dual()
+        history.append(dual)
+    model = SvmModel(theta=theta, alpha=alpha, c=c, gap=gap, epochs_run=epochs,
+                     dual_history=history)
+    return model, at_zero, at_box
+
+
+# name: (N, dim, c, gap_tol, max_epochs, init_alpha kind, class overlap)
+SDCA_CASES = {
+    "cold": (40, 10, None, 0.01, 200, None, 0.5),
+    "cold dim 1040": (48, 1040, None, 0.01, 200, None, 1.0),
+    "cold N=2": (2, 10, None, 0.01, 200, None, 0.5),
+    "warm inside": (40, 10, None, 0.01, 200, "inside", 0.5),
+    "warm on bounds": (40, 10, None, 0.01, 200, "bounds", 0.5),
+    "warm outside": (40, 10, None, 0.01, 200, "outside", 0.5),
+    "warm dim 1040 outside": (48, 1040, None, 0.001, 200, "outside", 1.0),
+    "warm N=2 on bounds": (2, 10, None, 0.01, 200, "bounds", 0.5),
+    "c=3.7": (30, 10, 3.7, 0.01, 200, None, 2.0),
+    "c=250 warm": (30, 10, 250.0, 0.01, 200, "inside", 0.5),
+    "gap_tol=0 epoch cap": (40, 10, None, 0.0, 9, None, 0.5),
+    "gap_tol=0 warm epoch cap": (24, 1040, None, 0.0, 4, "outside", 1.0),
+    "overlapping classes": (60, 10, None, 1e-6, 40, None, 3.0),
+    "dim 1": (50, 1, None, 0.01, 200, None, 2.0),
+}
+
+
+def _sdca_case(name):
+    n, dim, c, gap_tol, max_epochs, init, overlap = SDCA_CASES[name]
+    rng = np.random.default_rng(sorted(SDCA_CASES).index(name))
+    labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    rng.shuffle(labels)
+    center = rng.normal(size=dim) / np.sqrt(dim)
+    vectors = labels[:, None] * center + overlap * rng.normal(size=(n, dim)) / np.sqrt(dim)
+    box = (n if c is None else c) / n
+    init_alpha = {
+        None: None,
+        "inside": rng.uniform(0.0, box, size=n),
+        "bounds": np.where(rng.random(n) < 0.5, 0.0, box),
+        "outside": rng.uniform(-box, 2.0 * box, size=n),
+    }[init]
+    kwargs = dict(c=c, gap_tol=gap_tol, max_epochs=max_epochs, seed=len(name),
+                  init_alpha=init_alpha)
+    return vectors, labels, kwargs
+
+
+@pytest.mark.parametrize("name", sorted(SDCA_CASES))
+def test_sdca_bit_identical_to_reference_loop(name):
+    vectors, labels, kwargs = _sdca_case(name)
+    expected, _, _ = _reference_sdca_train(vectors, labels, **kwargs)
+    got = sdca_train(vectors, labels, **kwargs)
+    np.testing.assert_array_equal(got.theta, expected.theta)
+    np.testing.assert_array_equal(got.alpha, expected.alpha)
+    np.testing.assert_array_equal(got.gap, expected.gap)
+    assert got.epochs_run == expected.epochs_run
+    np.testing.assert_array_equal(got.dual_history, expected.dual_history)
+    assert got.c == expected.c
+
+
+def test_sdca_reference_cases_cover_both_clips_and_the_epoch_cap():
+    runs = {}
+    for name in SDCA_CASES:
+        vectors, labels, kwargs = _sdca_case(name)
+        runs[name] = _reference_sdca_train(vectors, labels, **kwargs)
+    assert sum(at_zero for _, at_zero, _ in runs.values()) > 0
+    assert sum(at_box for _, _, at_box in runs.values()) > 0
+    for name in ("gap_tol=0 epoch cap", "gap_tol=0 warm epoch cap"):
+        assert runs[name][0].epochs_run == SDCA_CASES[name][4]
+    assert runs["warm on bounds"][0].epochs_run >= 1
+
+
 # ------------------------------------------------------------- metrics
 
 
