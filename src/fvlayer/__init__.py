@@ -25,7 +25,7 @@ from .fisher import (
     fv_forward,
     fv_length,
 )
-from .normalization import NormConfig, norm_backward, norm_forward
+from .normalization import norm_backward, norm_forward
 from .feature_layer import (
     FeatureLayerParams,
     invert_features,

@@ -34,7 +34,6 @@ from .data_io import (
     write_pca,
 )
 from .gradcheck import run_battery
-from .parallel import resolve_workers
 from .pipeline import (
     TrainConfig,
     TrainMode,
@@ -114,8 +113,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         subsample=args.subsample,
     )
-    workers = resolve_workers(args.threads)
-    state = train(dataset, config, workers=workers, metrics_path=args.metrics)
+    state = train(dataset, config, workers=args.threads, metrics_path=args.metrics)
     write_checkpoint(args.checkpoint, state.to_checkpoint())
     last = state.metrics[-1]
     print(f"train: {state.epoch} joint epochs, {state.batches_done} batches, "
@@ -194,6 +192,16 @@ def cmd_demo2d(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- bench
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an int: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok]
@@ -205,7 +213,6 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    threads = resolve_workers(args.threads)
     # rows are timed in this process; only --speedup uses the workers
     rows = [row for k in args.k for d in args.d
             for row in scaling_in_t(args.t, k=k, d=d, seed=args.seed,
@@ -218,9 +225,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.speedup:
-        ms1, msn, ratio = batch_speedup(workers=threads, seed=args.seed)
+        ms1, msn, ratio = batch_speedup(workers=args.threads, seed=args.seed)
         print(f"bench: batch of 24 images, 1 worker {ms1:.1f} ms, "
-              f"{threads} workers {msn:.1f} ms, speedup {ratio:.2f}x")
+              f"{args.threads} workers {msn:.1f} ms, speedup {ratio:.2f}x")
     return 0
 
 
@@ -272,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsample", type=int, default=None,
                    help="max points per image for GMM fitting")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker processes for encoding and gradients")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--metrics", default="metrics.csv")
     p.set_defaults(func=cmd_train)
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_list, default=[16])
     p.add_argument("--d", type=_int_list, default=[32])
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="workers for --speedup; CSV rows are timed in one process")
     p.add_argument("--speedup", action="store_true",
                    help="also time a 24-image batch at 1 vs --threads workers")

@@ -172,11 +172,11 @@ def fv_backward(
     upstream is (B, length), the parameter gradients gain a leading image
     axis and d_features stays (B * T, D) rows.
 
-    One pass computes every per-point term once. Parameter sums are grouped
-    per CHUNK_ROWS chunk and carried across its tiles of at most
-    gmm.TILE_VALUES (rows, K, D) values per image in row order, so they
-    match one einsum per chunk bit for bit. Memory is O(B * T * D +
-    B * CHUNK_ROWS * K) plus three buffers of one tile per image.
+    One pass computes every per-point term once, walking each image's rows
+    in tiles of at most gmm.TILE_VALUES (rows, K, D) values. Every sum over
+    points continues across the tiles in row order, so it matches one einsum
+    over the image bit for bit whatever the tile size. Memory is
+    O(B * T * (K + D)) plus three buffers of one tile per image.
     """
     return _backward(features, params, gamma, upstream, True, n_images)
 
@@ -207,81 +207,74 @@ def _backward(features, params, gamma, upstream, want_input: bool, n_images) -> 
 
     d_w, d_mu, d_var = np.zeros((b, k)), np.zeros((b, k, d)), np.zeros((b, k, d))
     d_x = np.empty((b, t, d))
-    images = features.reshape(b, t, d)
-    gammas = gamma.reshape(b, t, k)
+    x = features.reshape(b, t, d)
+    g = gamma.reshape(b, t, k)
 
-    rows = gmm.CHUNK_ROWS
-    chunk = min(rows, t)
     # each image walks the tiles it would alone; a pipeline stack holds at
     # most TILE_VALUES (images, rows, K, D) values, so it fits in one tile
-    tile = max(1, min(gmm.TILE_VALUES // (k * d), chunk))
+    tile = gmm.tile_rows(t, k * d)
     # row 0 of the alpha and alpha^2 buffers carries a running (K, D) sum,
     # weighted by the 1.0 in row 0 of the gamma and h buffers
     alpha_buf, sq_buf = np.empty((2, b, tile + 1, k, d))
     beta_buf = np.empty((b, tile, k, d))
     g_buf, h_buf = np.ones((2, b, tile + 1, k))
-    bp, cp = np.empty((2, b, chunk, k))
-    tot = np.empty((b, chunk))
-    direct_var = np.empty((b, chunk, d))
+    bp, cp = np.empty((2, b, t, k))
+    tot = np.empty((b, t))
+    direct_var = np.empty((b, t, d))
 
-    for start in range(0, t, rows):
-        x = images[:, start : start + rows]
-        g = gammas[:, start : start + rows]
-        c = x.shape[1]
-        ga = ga2 = ha = hq = None
-        for lo in range(0, c, tile):
-            hi = min(lo + tile, c)
-            n = hi - lo
-            alpha = alpha_buf[:, 1 : n + 1]
-            sq = sq_buf[:, 1 : n + 1]
-            beta = beta_buf[:, :n]
-            gt = g_buf[:, 1 : n + 1]
-            gt[...] = g[:, lo:hi]
-            np.subtract(x[:, lo:hi, None, :], mu, out=alpha)
-            if want_input:
-                np.divide(alpha, var, out=beta)
-            np.divide(alpha, sigma, out=alpha)
-            np.multiply(alpha, alpha, out=sq)
-            ga = _row_sum(g_buf, alpha_buf, n, ga)
-            ga2 = _row_sum(g_buf, sq_buf, n, ga2)
-            sq -= 1.0  # q = alpha^2 - 1
+    ga = ga2 = ha = hq = None
+    for lo in range(0, t, tile):
+        hi = min(lo + tile, t)
+        n = hi - lo
+        alpha = alpha_buf[:, 1 : n + 1]
+        sq = sq_buf[:, 1 : n + 1]
+        beta = beta_buf[:, :n]
+        gt = g_buf[:, 1 : n + 1]
+        gt[...] = g[:, lo:hi]
+        np.subtract(x[:, lo:hi, None, :], mu, out=alpha)
+        if want_input:
+            np.divide(alpha, var, out=beta)
+        np.divide(alpha, sigma, out=alpha)
+        np.multiply(alpha, alpha, out=sq)
+        ga = _row_sum(g_buf, alpha_buf, n, ga)
+        ga2 = _row_sum(g_buf, sq_buf, n, ga2)
+        sq -= 1.0  # q = alpha^2 - 1
 
-            np.einsum("bkd,bckd->bck", u_mu, alpha, out=bp[:, lo:hi])
-            np.einsum("bkd,bckd->bck", u_var, sq, out=cp[:, lo:hi])
-            r = (u_w[:, None] + bp[:, lo:hi]) / sqw + cp[:, lo:hi] / sq2w
-            np.einsum("bck,bck->bc", gt, r, out=tot[:, lo:hi])
-            gr = gt * r
-            np.subtract(gr, gt * tot[:, lo:hi, None], out=h_buf[:, 1 : n + 1])
-            ha = _row_sum(h_buf, alpha_buf, n, ha)
-            hq = _row_sum(h_buf, sq_buf, n, hq)
-
-            if want_input:
-                pooled = np.einsum("bck,bcke->bce", gt, beta)
-                np.subtract(
-                    pooled * gr.sum(axis=2)[..., None],
-                    np.einsum("bck,bcke->bce", gr, beta),
-                    out=d_x[:, start + lo : start + hi],
-                )
-                beta *= direct_var_coef[:, None]
-                np.einsum("bck,bcke->bce", gt, beta, out=direct_var[:, lo:hi])
-
-        s0c = g.sum(axis=1)
-        d_w += u_w * (s0c - c * w) / (2.0 * w * sqw)
-        d_w += np.einsum("bck,bck->bk", g, bp[:, :c]) / (2.0 * w * sqw)
-        d_w += np.einsum("bck,bck->bk", g, cp[:, :c]) / (2.0 * w * sq2w)
-        d_w -= (g * tot[:, :c, None]).sum(axis=1) / w
-
-        d_mu += (
-            ha - u_mu * (s0c / sqw)[..., None] - 2.0 * u_var * ga / sq2w[:, None]
-        ) / sigma
-        d_var += (
-            hq - u_mu * ga / sqw[:, None] - 2.0 * u_var * ga2 / sq2w[:, None]
-        ) / (2.0 * var)
+        np.einsum("bkd,bckd->bck", u_mu, alpha, out=bp[:, lo:hi])
+        np.einsum("bkd,bckd->bck", u_var, sq, out=cp[:, lo:hi])
+        r = (u_w[:, None] + bp[:, lo:hi]) / sqw + cp[:, lo:hi] / sq2w
+        np.einsum("bck,bck->bc", gt, r, out=tot[:, lo:hi])
+        gr = gt * r
+        np.subtract(gr, gt * tot[:, lo:hi, None], out=h_buf[:, 1 : n + 1])
+        ha = _row_sum(h_buf, alpha_buf, n, ha)
+        hq = _row_sum(h_buf, sq_buf, n, hq)
 
         if want_input:
-            direct = g @ direct_mu_coef
-            direct += direct_var[:, :c]
-            d_x[:, start : start + c] += direct
+            pooled = np.einsum("bck,bcke->bce", gt, beta)
+            np.subtract(
+                pooled * gr.sum(axis=2)[..., None],
+                np.einsum("bck,bcke->bce", gr, beta),
+                out=d_x[:, lo:hi],
+            )
+            beta *= direct_var_coef[:, None]
+            np.einsum("bck,bcke->bce", gt, beta, out=direct_var[:, lo:hi])
+
+    s0 = g.sum(axis=1)
+    d_w += u_w * (s0 - t * w) / (2.0 * w * sqw)
+    d_w += np.einsum("bck,bck->bk", g, bp) / (2.0 * w * sqw)
+    d_w += np.einsum("bck,bck->bk", g, cp) / (2.0 * w * sq2w)
+    d_w -= (g * tot[..., None]).sum(axis=1) / w
+    d_mu += (
+        ha - u_mu * (s0 / sqw)[..., None] - 2.0 * u_var * ga / sq2w[:, None]
+    ) / sigma
+    d_var += (
+        hq - u_mu * ga / sqw[:, None] - 2.0 * u_var * ga2 / sq2w[:, None]
+    ) / (2.0 * var)
+
+    if want_input:
+        direct = g @ direct_mu_coef
+        direct += direct_var
+        d_x += direct
 
     d_x /= t
     d_w, d_mu, d_var = _unstack(n_images, d_w / t, d_mu / t, d_var / t)

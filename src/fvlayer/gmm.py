@@ -27,20 +27,15 @@ ZETA_LIMIT = 30.0
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# The encoder's backward groups its parameter sums per slab of this many
-# points, and no E-step tile or image stack holds more. Fixed so results
-# are reproducible bit for bit.
-CHUNK_ROWS = 1024
-
 # Passes that form (rows, K, D) intermediates walk them in tiles of at most
-# this many values (1 MiB of float64 per buffer): the E-step and the
-# encoder's backward, whose tiles carry each slab's sums in row order. An
-# image stack holds at most this many T * K * D values. What still grows
+# this many values (1 MiB of float64 per buffer): the E-step, whose rows are
+# independent, and the encoder's backward, whose tiles carry every sum in
+# row order. So the tile size bounds memory and never changes a result bit.
+# An image stack holds at most this many T * K * D values. What still grows
 # with T is O(T * K) or O(T * D).
 TILE_VALUES = 131072
 
 __all__ = [
-    "CHUNK_ROWS",
     "TILE_VALUES",
     "VARIANCE_FLOOR",
     "NU_LIMIT",
@@ -148,12 +143,18 @@ def _check_features(features: np.ndarray, dim: int | None = None) -> np.ndarray:
     return features
 
 
+def tile_rows(t: int, unit: int) -> int:
+    """Rows per tile when each row forms `unit` values: at most
+    TILE_VALUES // unit, at least 1, and no more than the T rows there are."""
+    return max(1, min(TILE_VALUES // unit, t))
+
+
 def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
     """Per-point, per-component log-densities, shape (T, K).
 
-    Walks the rows in tiles of at most CHUNK_ROWS rows and TILE_VALUES
-    (rows, K, D) values through one buffer; each row's arithmetic does not
-    depend on the tile it falls in, so the result is independent of both.
+    Walks the rows in tiles of tile_rows(T, K * D) rows through one buffer;
+    each row's arithmetic does not depend on the tile it falls in, so the
+    result is independent of the tile size.
     """
     mu = params.means
     k, d = mu.shape
@@ -161,7 +162,7 @@ def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
     const = -0.5 * (LOG_2PI + np.log(params.variances)).sum(axis=1)  # (K,)
     inv_var = 1.0 / params.variances
     t = features.shape[0]
-    tile = max(1, min(TILE_VALUES // (k * d), CHUNK_ROWS, t))
+    tile = tile_rows(t, k * d)
     buf = np.empty((tile, k, d))
     out = np.empty((t, k))
     for lo in range(0, t, tile):

@@ -1,8 +1,7 @@
 """Signed power compression followed by L2 normalization.
 
-forward: v -> sign(v) |v|^alpha, then division by the L2 norm.
-backward: exact Jacobian-transpose product for alpha = 0.5. Other exponents
-are forward-only; asking for their gradient raises.
+forward: v -> sign(v) |v|^0.5, then division by the L2 norm.
+backward: exact Jacobian-transpose product of the forward.
 
 Both take one vector or a (B, length) stack, normalized row by row; each
 row's norm and dot product is its own call, so it rounds as it would alone.
@@ -11,24 +10,17 @@ row's norm and dot product is its own call, so it rounds as it would alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NormConfig", "norm_forward", "norm_backward"]
+__all__ = ["norm_forward", "norm_backward"]
 
+# Compression exponent: the signed square root.
+ALPHA = 0.5
 
-@dataclass
-class NormConfig:
-    """alpha: compression exponent. eps: coordinates of the raw input with
-    magnitude below eps are treated as flat zeros in the backward pass (the
-    square root is not differentiable there)."""
-
-    alpha: float = 0.5
-    eps: float = 1e-12
-
-
-_DEFAULT = NormConfig()
+# Coordinates of the raw input with magnitude below EPS are treated as flat
+# zeros in the backward pass (the square root is not differentiable there).
+EPS = 1e-12
 
 
 def _check_vectors(vector: np.ndarray) -> np.ndarray:
@@ -43,9 +35,9 @@ def _norm(row: np.ndarray) -> float:
     return math.sqrt(row.dot(row))
 
 
-def norm_forward(vector: np.ndarray, config: NormConfig = _DEFAULT) -> np.ndarray:
+def norm_forward(vector: np.ndarray) -> np.ndarray:
     vector = _check_vectors(vector)
-    compressed = np.sign(vector) * np.abs(vector) ** config.alpha
+    compressed = np.sign(vector) * np.abs(vector) ** ALPHA
     rows = compressed.reshape(-1, vector.shape[-1])
     out = np.zeros(rows.shape)  # a zero vector normalizes to zero
     for row, dst in zip(rows, out):
@@ -55,21 +47,14 @@ def norm_forward(vector: np.ndarray, config: NormConfig = _DEFAULT) -> np.ndarra
     return out.reshape(vector.shape)
 
 
-def norm_backward(
-    vector: np.ndarray, upstream: np.ndarray, config: NormConfig = _DEFAULT
-) -> np.ndarray:
+def norm_backward(vector: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient of the normalized output with respect to the raw input.
 
     With xhat = sign(v) sqrt(|v|) and phi = xhat / ||xhat||, the Jacobian is
     (I - phi phi^T) / ||xhat|| composed with diag(1 / (2 |xhat_i|)); this
     returns its transpose applied to `upstream`. Coordinates with
-    |v_i| < eps get zero gradient, as does a vector with xhat = 0. Only
-    alpha = 0.5 is supported.
+    |v_i| < EPS get zero gradient, as does a vector with xhat = 0.
     """
-    if config.alpha != 0.5:
-        raise ValueError(
-            f"backward pass only supports alpha = 0.5, got {config.alpha}"
-        )
     vector = _check_vectors(vector)
     upstream = np.asarray(upstream, dtype=np.float64)
     if vector.shape != upstream.shape:
@@ -85,7 +70,7 @@ def norm_backward(
     phi = xhat / norm
     along = np.array([[float(p @ u)] for p, u in zip(phi, ups)])
     projected = ups - phi * along
-    live = (np.abs(rows) >= config.eps) & ~flat
+    live = (np.abs(rows) >= EPS) & ~flat
     out = np.zeros_like(rows)
     np.divide(projected, 2.0 * np.abs(xhat) * norm, out=out, where=live)
     return out.reshape(vector.shape)

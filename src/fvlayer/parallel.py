@@ -9,32 +9,11 @@ thread count: BLAS products round differently with 1 and 2 threads.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["resolve_workers", "map_chunks", "seed_for"]
-
-THREADS_ENV = "FVLAYER_THREADS"
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count from an explicit request, the environment, or 1."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"worker count must be at least 1, got {explicit}")
-        return explicit
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV} must be at least 1, got {value}")
-        return value
-    return 1
+__all__ = ["map_chunks", "seed_for"]
 
 
 def map_chunks(fn, items: list, shared: tuple, workers: int) -> list:

@@ -177,19 +177,25 @@ class Encoder:
         return d_w, d_mu, d_var, d_weight, d_bias, d_in.reshape(b, -1, d_in.shape[1])
 
 
+# An image stack holds at most this many points, which bounds its O(T * K)
+# and O(T * D) per-point arrays. Stacking is bit for bit, so it bounds
+# memory only.
+CHUNK_ROWS = 1024
+
+
 def _stacks(images: list[np.ndarray], unit: int) -> list[list[int]]:
     """Indices of `images` grouped by equal point count T (groups in order
     of first appearance, indices ascending), in stacks of at most
-    TILE_VALUES // (T * unit) images, unit being K * D, and at most
-    CHUNK_ROWS points, so a stack's (rows, K, D) tile and its per-point
-    arrays stay within the bounds of one image's slab. An image above
-    that budget is a stack of its own, tiled by row inside the kernels."""
+    gmm.TILE_VALUES // (T * unit) images, unit being K * D, so a stack's
+    (rows, K, D) values fit in one tile, and of at most CHUNK_ROWS points.
+    An image above that budget is a stack of its own, tiled by row inside
+    the kernels. No stack size changes a result bit."""
     groups: dict[int, list[int]] = {}
     for index, image in enumerate(images):
         groups.setdefault(image.shape[0], []).append(index)
     out = []
     for t, indices in groups.items():
-        size = max(1, min(gmm.TILE_VALUES // (t * unit), gmm.CHUNK_ROWS // t))
+        size = max(1, min(gmm.TILE_VALUES // (t * unit), CHUNK_ROWS // t))
         out.extend(indices[s : s + size] for s in range(0, len(indices), size))
     return out
 

@@ -49,6 +49,15 @@ def test_unknown_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("subcommand", [
+    ["train", "--train", "f", "--labels", "l", "--checkpoint", "c"], ["bench"]])
+def test_nonpositive_threads_is_usage_error_naming_the_flag(capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main(subcommand + ["--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_train_eval_flow(capsys, corpus, tmp_path):
     feats, labels = corpus
     ckpt = tmp_path / "model.fvmd"

@@ -7,6 +7,7 @@ import pytest
 
 import fvlayer.fisher as fisher
 import fvlayer.gmm as gmm
+import fvlayer.pipeline as pipeline
 from fvlayer.fisher import (
     fv_backward,
     fv_backward_input,
@@ -182,12 +183,11 @@ def test_backward_independent_of_chunk_size(monkeypatch):
         np.testing.assert_array_equal(b, a)
     # the E-step walks tiles of the same budget, two rows each here
     np.testing.assert_array_equal(posteriors(feats, params), gamma)
-    # one constant sets the slabs of the backward pass and caps E-step tiles
-    monkeypatch.setattr(gmm, "CHUNK_ROWS", 7)
+    # the stack cap bounds memory only: no kernel groups its sums by it
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", 7)
     chunked = fv_backward(feats, params, gamma, upstream)
     for a, b in zip(base, chunked):
-        np.testing.assert_allclose(b, a, rtol=1e-13, atol=1e-13)
-    # the E-step's rows do not depend on their slab, so it is bit-equal
+        np.testing.assert_array_equal(b, a)
     np.testing.assert_array_equal(posteriors(feats, params), gamma)
     chunked_fit = em_fit(feats, params)
     np.testing.assert_array_equal(chunked_fit.weights, base_fit.weights)
@@ -196,8 +196,9 @@ def test_backward_independent_of_chunk_size(monkeypatch):
 
 
 # Frozen copies of the two backward kernels that fv_backward replaced. They
-# stream (chunk, K, D) arrays per CHUNK_ROWS chunk; the single pass must
-# reproduce them bit for bit. Kept here only as the reference.
+# stream (chunk, K, D) arrays per chunk of `rows` points; run with one chunk
+# per image, the single pass must reproduce them bit for bit. Kept here only
+# as the reference.
 def _reference_backward_params(features, params, gamma, upstream):
     t = features.shape[0]
     k, d = params.n_components, params.dim
@@ -209,7 +210,7 @@ def _reference_backward_params(features, params, gamma, upstream):
     d_w = np.zeros(k)
     d_mu = np.zeros((k, d))
     d_var = np.zeros((k, d))
-    rows = gmm.CHUNK_ROWS
+    rows = t
     for start in range(0, t, rows):
         x = features[start : start + rows]
         g = gamma[start : start + rows]
@@ -250,7 +251,7 @@ def _reference_backward_input(features, params, gamma, upstream):
     direct_mu_coef = u_mu / (sqw[:, None] * sigma)
     direct_var_coef = 2.0 * u_var / sq2w[:, None]
     out = np.empty((t, d))
-    rows = gmm.CHUNK_ROWS
+    rows = t
     for start in range(0, t, rows):
         x = features[start : start + rows]
         g = gamma[start : start + rows]
@@ -275,12 +276,12 @@ def _reference_backward_input(features, params, gamma, upstream):
     "t,k,d,scale,offset",
     [
         (200, 16, 32, 1.0, 0.0),  # one tile
-        (1000, 16, 32, 1.0, 0.0),  # several tiles in one chunk
-        (2500, 16, 32, 1.0, 0.0),  # T > CHUNK_ROWS, short last chunk
+        (1000, 16, 32, 1.0, 0.0),  # several tiles
+        (2500, 16, 32, 1.0, 0.0),  # T > 1024, the old slab size
         (769, 16, 32, 1.0, 0.0),  # last tile of one row
-        (2049, 1, 1, 1.0, 0.0),  # K = D = 1: one tile per chunk
+        (2049, 1, 1, 1.0, 0.0),  # K = D = 1: one tile per image
         (5, 300, 500, 1.0, 0.0),  # K * D above the tile budget
-        (1100, 129, 3, 2.0, 0.0),  # several tiles, T > CHUNK_ROWS
+        (1100, 129, 3, 2.0, 0.0),  # several tiles, T > 1024
         (1000, 16, 32, 100.0, 1e3),  # off-centre
         (1000, 16, 32, 0.3, -50.0),  # off-centre, narrow
         (600, 8, 64, 1e-3, 1e4),  # badly scaled

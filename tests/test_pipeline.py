@@ -5,6 +5,8 @@ import copy
 import numpy as np
 import pytest
 
+import fvlayer.gmm as gmm
+import fvlayer.pipeline as pipeline
 from fvlayer.data_io import make_synthetic_2d, read_checkpoint, write_checkpoint
 from fvlayer.gmm import VARIANCE_FLOOR
 from fvlayer.pipeline import (
@@ -165,6 +167,21 @@ def test_train_metrics_independent_of_workers(dataset, tmp_path):
     train(dataset, tiny_config(), workers=1, metrics_path=paths[0])
     train(dataset, tiny_config(), workers=2, metrics_path=paths[1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_train_bits_independent_of_tile_and_stack_sizes(monkeypatch, tmp_path):
+    ds = make_synthetic_2d(8, seed=3)
+
+    def run(tag):
+        metrics, checkpoint = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.fvmd"
+        state = train(ds, tiny_config(), metrics_path=metrics)
+        write_checkpoint(checkpoint, state.to_checkpoint())
+        return metrics.read_bytes(), checkpoint.read_bytes()
+
+    base = run("base")
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", 7)  # one image per stack
+    monkeypatch.setattr(gmm, "TILE_VALUES", 13)  # tiles of 3 rows at K = D = 2
+    assert run("small") == base
 
 
 def test_metrics_file_schema(dataset, tmp_path):
