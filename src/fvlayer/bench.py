@@ -15,12 +15,14 @@ import numpy as np
 
 from .fisher import fv_backward, fv_forward
 from .gmm import GmmParams
-from .parallel import map_chunks
+from .parallel import WorkerPool, map_chunks
 from .pipeline import Encoder, _encode_chunk
 
 CSV_FIELDS = ("t", "k", "d", "threads", "fwd_ms", "bwd_ms")
 
 _WARMUP_RUNS = 1
+# fresh workers run their first few batches several times slower
+_POOL_WARMUP_RUNS = 3
 _DEFAULT_REPEATS = 5
 
 
@@ -110,19 +112,23 @@ def interleaved_doubling_factors(t_values: list[int], k: int = 16, d: int = 32,
 def batch_speedup(n_images: int = 24, t: int = 2000, k: int = 16, d: int = 32,
                   workers: int = 4, seed: int = 0,
                   repeats: int = 3) -> tuple[float, float, float]:
-    """Times a batch encode with 1 worker and with `workers`; returns (ms1, msN, ratio)."""
+    """Times a batch encode inline and on a pool of `workers`; returns
+    (ms1, msN, ratio). The pool is started and warmed up before any timed
+    call, as `pipeline.train` starts one pool for a whole run."""
     rng = np.random.default_rng(seed)
     _, params, _ = _random_instance(4, k, d, seed)
     encoder = Encoder(params)
     images = [rng.normal(size=(t, d)) for _ in range(n_images)]
 
-    def run(n_workers: int) -> float:
-        return _median_ms(
-            lambda: map_chunks(_encode_chunk, images, (encoder,), n_workers),
-            repeats)
+    ms_serial = _median_ms(
+        lambda: map_chunks(_encode_chunk, images, (encoder,)), repeats)
+    with WorkerPool(workers) as pool:
+        def encode():
+            return map_chunks(_encode_chunk, images, (encoder,), pool)
 
-    ms_serial = run(1)
-    ms_parallel = run(workers)
+        for _ in range(_POOL_WARMUP_RUNS):
+            encode()
+        ms_parallel = _median_ms(encode, repeats)
     return ms_serial, ms_parallel, ms_serial / max(ms_parallel, 1e-9)
 
 

@@ -5,35 +5,115 @@ and the per-item results are concatenated back in submission order. Every
 item's computation is independent of which worker ran it, so results are
 identical for any worker count if every process runs BLAS with the same
 thread count: BLAS products round differently with 1 and 2 threads.
+
+A `WorkerPool` starts its processes once and serves every `map_chunks` call
+until it is closed; `pipeline.train` holds one for the whole run. Workers
+are spawned, not forked, with OPENBLAS_THREAD_TIMEOUT set in the
+environment they start from (the parent's is restored at once). Their idle
+OpenBLAS helper threads then sleep instead of spinning against the other
+workers' on a small host, while each process keeps the same BLAS thread
+count, so results stay bit for bit. Spawned workers import fvlayer afresh:
+a monkeypatch made in the parent process does not reach them.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
 
 import numpy as np
 
-__all__ = ["map_chunks", "seed_for"]
+__all__ = ["WorkerPool", "map_chunks", "seed_for"]
+
+# OpenBLAS helper threads wait 2**4 cycles before they sleep, instead of
+# the default 2**28 (about 0.1 s of spinning after every call).
+_BLAS_TIMEOUT = ("OPENBLAS_THREAD_TIMEOUT", "4")
+
+_barrier = None  # a worker's copy of its pool's start-up barrier
 
 
-def map_chunks(fn, items: list, shared: tuple, workers: int) -> list:
+def _join(barrier) -> None:
+    global _barrier
+    _barrier = barrier
+
+
+def _rendezvous() -> None:
+    _barrier.wait(timeout=120)
+
+
+class WorkerPool:
+    """`workers` processes for map_chunks, all up once the constructor
+    returns; with one worker there is no process and calls run inline.
+
+    `close` (or leaving a `with` block) ends the workers and the
+    multiprocessing resource tracker that spawning starts, so no process
+    started here outlives the pool.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+        if workers <= 1:
+            return
+        tracker = resource_tracker._resource_tracker
+        self._stop_tracker = tracker._fd is None  # not ours to stop otherwise
+        context = multiprocessing.get_context("spawn")
+        key, value = _BLAS_TIMEOUT
+        preset = os.environ.get(key)
+        os.environ[key] = value
+        try:
+            # looked up at call time, so a wrapper on this module's name
+            # sees each pool start
+            self._executor = ProcessPoolExecutor(
+                workers, context, _join, (context.Barrier(workers),)
+            )
+            # one task per process: each submit spawns a worker, and no task
+            # ends before every worker has started and joined the barrier
+            for future in [self._executor.submit(_rendezvous) for _ in range(workers)]:
+                future.result()
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            if preset is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = preset
+
+    def close(self) -> None:
+        if self._executor is None:
+            return
+        self._executor.shutdown()
+        self._executor = None
+        if self._stop_tracker:
+            resource_tracker._resource_tracker._stop()
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def map_chunks(fn, items: list, shared: tuple, pool: WorkerPool | None = None) -> list:
     """Apply fn(chunk, *shared) over contiguous chunks; flatten in order.
 
-    fn must return one result per chunk item. With one worker the call runs
-    inline. Chunk boundaries never affect per-item results, only scheduling.
+    fn must return one result per chunk item. Without a pool of two or more
+    workers the call runs inline. Chunk boundaries never affect per-item
+    results, only scheduling.
     """
-    if workers <= 1 or len(items) <= 1:
+    if pool is None or pool._executor is None or len(items) <= 1:
         return fn(items, *shared)
-    parts = np.array_split(np.arange(len(items)), min(workers, len(items)))
+    parts = np.array_split(np.arange(len(items)), min(pool.workers, len(items)))
+    futures = [
+        pool._executor.submit(fn, [items[i] for i in part], *shared)
+        for part in parts
+    ]
     out: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fn, [items[i] for i in part], *shared)
-            for part in parts
-            if len(part)
-        ]
-        for future in futures:
-            out.extend(future.result())
+    for future in futures:
+        out.extend(future.result())
     return out
 
 

@@ -44,7 +44,7 @@ from .gmm import (
     reparam_forward,
 )
 from .normalization import norm_backward, norm_forward
-from .parallel import map_chunks, seed_for
+from .parallel import WorkerPool, map_chunks, seed_for
 from .svm import (
     SvmModel,
     accuracy,
@@ -305,13 +305,15 @@ def _grad_chunk(
     return out
 
 
-def _encode_all(state: TrainState, workers: int = 1) -> np.ndarray:
-    results = map_chunks(_encode_chunk, state.inputs, (state.encoder(),), workers)
+def _encode_all(state: TrainState, pool: WorkerPool | None = None) -> np.ndarray:
+    results = map_chunks(_encode_chunk, state.inputs, (state.encoder(),), pool)
     state.starved_events += sum(starved for _, starved in results)
     return np.stack([vec for vec, _ in results])
 
 
-def phase1_init(dataset: Dataset, config: TrainConfig, workers: int = 1) -> TrainState:
+def phase1_init(
+    dataset: Dataset, config: TrainConfig, pool: WorkerPool | None = None
+) -> TrainState:
     """Fit the mixture, prepare inputs, and train the initial classifiers."""
     if not dataset.items:
         raise ValueError("dataset is empty")
@@ -329,7 +331,10 @@ def phase1_init(dataset: Dataset, config: TrainConfig, workers: int = 1) -> Trai
 
     dim = prepared[0].shape[1]
     layer0 = xavier_init(dim, seed_for(seed, _TAG_LAYER))
-    inputs = [invert_features(f, layer0) for f in prepared]
+    # one solve over every image's rows; each row's solution has the bits
+    # of a solve of its image alone
+    ends = np.cumsum([len(f) for f in prepared])[:-1]
+    inputs = np.split(invert_features(np.vstack(prepared), layer0), ends)
 
     # the pooled encoder inputs at initialization are exactly the clamped
     # raw features, by the inversion round trip
@@ -348,7 +353,7 @@ def phase1_init(dataset: Dataset, config: TrainConfig, workers: int = 1) -> Trai
         labels=labels,
         image_ids=[item.image_id for item in dataset.items],
     )
-    encodings = _encode_all(state, workers)
+    encodings = _encode_all(state, pool)
     for class_index in range(labels.shape[1]):
         state.svms.append(
             sdca_train(
@@ -393,13 +398,15 @@ def _clip_block(grad: np.ndarray, limit: float) -> np.ndarray:
     return grad
 
 
-def joint_step(state: TrainState, batch_indices: np.ndarray, workers: int = 1) -> float:
+def joint_step(
+    state: TrainState, batch_indices: np.ndarray, pool: WorkerPool | None = None
+) -> float:
     """One SGD step on the encoder parameters over a batch of images.
 
-    Per-image gradients are computed independently (possibly in parallel)
-    and reduced in ascending batch order, so the update is identical for any
-    worker count. Returns the mean surrogate loss of the batch. In THETA
-    mode no parameter moves but the loss is still reported.
+    Per-image gradients are computed independently (in `pool`'s workers,
+    if given) and reduced in ascending batch order, so the update is
+    identical for any worker count. Returns the mean surrogate loss of the
+    batch. In THETA mode no parameter moves but the loss is still reported.
     """
     config = state.config
     mode = config.mode
@@ -414,7 +421,7 @@ def joint_step(state: TrainState, batch_indices: np.ndarray, workers: int = 1) -
             mode.updates_gmm,
             mode.updates_layer,
         ),
-        workers,
+        pool,
     )
 
     losses = [entry["loss"] for entry in results]
@@ -452,11 +459,13 @@ def joint_step(state: TrainState, batch_indices: np.ndarray, workers: int = 1) -
     return float(np.mean(losses))
 
 
-def retrain_svms(state: TrainState, round_index: int, workers: int = 1) -> np.ndarray:
+def retrain_svms(
+    state: TrainState, round_index: int, pool: WorkerPool | None = None
+) -> np.ndarray:
     """Re-encode the training set and retrain every classifier, warm-started
     from its previous dual variables. Returns the fresh encodings."""
     config = state.config
-    encodings = _encode_all(state, workers)
+    encodings = _encode_all(state, pool)
     for class_index in range(len(state.svms)):
         state.svms[class_index] = sdca_train(
             encodings,
@@ -479,26 +488,29 @@ def train(
 
     Metrics rows (one per class per epoch, including epoch zero right after
     initialization) are kept on the state and optionally streamed to a CSV.
+    With two or more workers, one pool serves the whole run; it is up
+    before phase one starts and gone when this returns or raises.
     """
-    state = phase1_init(dataset, config, workers)
-    writer = _MetricsWriter(metrics_path)
-    try:
-        writer.write(state.metrics)
-        n = state.n_images
-        for epoch in range(1, config.joint_epochs + 1):
-            state.epoch = epoch
-            rng = np.random.default_rng(seed_for(config.seed, _TAG_SHUFFLE, epoch))
-            order = rng.permutation(n)
-            epoch_losses = []
-            for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                epoch_losses.append(joint_step(state, batch, workers))
-            encodings = retrain_svms(state, round_index=epoch, workers=workers)
-            before = len(state.metrics)
-            _log_metrics(state, encodings, mean_loss=float(np.mean(epoch_losses)))
-            writer.write(state.metrics[before:])
-    finally:
-        writer.close()
+    with WorkerPool(workers) as pool:
+        state = phase1_init(dataset, config, pool)
+        writer = _MetricsWriter(metrics_path)
+        try:
+            writer.write(state.metrics)
+            n = state.n_images
+            for epoch in range(1, config.joint_epochs + 1):
+                state.epoch = epoch
+                rng = np.random.default_rng(seed_for(config.seed, _TAG_SHUFFLE, epoch))
+                order = rng.permutation(n)
+                epoch_losses = []
+                for start in range(0, n, config.batch_size):
+                    batch = order[start : start + config.batch_size]
+                    epoch_losses.append(joint_step(state, batch, pool))
+                encodings = retrain_svms(state, round_index=epoch, pool=pool)
+                before = len(state.metrics)
+                _log_metrics(state, encodings, mean_loss=float(np.mean(epoch_losses)))
+                writer.write(state.metrics[before:])
+        finally:
+            writer.close()
     return state
 
 

@@ -1,10 +1,16 @@
 """Command-line behavior: flows, exit codes, config echo, determinism."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fvlayer
 from fvlayer.cli import main
 from fvlayer.data_io import make_synthetic_2d, read_features
 
@@ -95,6 +101,32 @@ def test_train_is_deterministic_at_cli_level(capsys, corpus, tmp_path):
     assert outputs[0] == outputs[1]
     assert (tmp_path / "one.fvmd").read_bytes() == \
         (tmp_path / "two.fvmd").read_bytes()
+
+
+def test_importing_the_entry_module_runs_nothing(capsys):
+    importlib.import_module("fvlayer.__main__")
+    assert capsys.readouterr().out == ""
+
+
+def test_module_entry_trains_the_same_bytes_with_two_workers(corpus, tmp_path):
+    feats, labels = corpus
+    src = str(Path(fvlayer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    outputs = []
+    for threads in ("1", "2"):
+        metrics, ckpt = tmp_path / f"w{threads}.csv", tmp_path / f"w{threads}.fvmd"
+        done = subprocess.run(
+            [sys.executable, "-m", "fvlayer", "train", "--train", str(feats),
+             "--labels", str(labels), "--k", "2", "--batch", "8",
+             "--epochs", "1", "--init-epochs", "6", "--svm-epochs", "30",
+             "--seed", "5", "--threads", threads,
+             "--checkpoint", str(ckpt), "--metrics", str(metrics)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("train: final mean loss") == 1
+        outputs.append((metrics.read_bytes(), ckpt.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_rejects_class_count_mismatch(capsys, corpus, tmp_path):

@@ -1,0 +1,137 @@
+"""The worker pool: inline results bit for bit, the environment left as
+found, and no process left behind."""
+
+import os
+from multiprocessing import resource_tracker
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fvlayer.pipeline as pipeline
+from fvlayer.data_io import make_synthetic_2d
+from fvlayer.feature_layer import xavier_init
+from fvlayer.fisher import fv_length
+from fvlayer.gmm import GmmParams, raw_from_params
+from fvlayer.parallel import WorkerPool, map_chunks
+from fvlayer.pipeline import Encoder, TrainConfig, TrainMode, _encode_chunk, _grad_chunk
+
+TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+
+# (point counts of the images, K, D)
+CASES = {
+    "mixed T": ([32, 7, 32, 1, 7, 32, 50, 1, 32, 7], 3, 2),
+    "multi-tile images": ([1000] * 3, 16, 32),
+}
+
+
+def _children() -> set[int]:
+    """Pids of this process's children, running or not yet reaped."""
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("needs /proc to list child processes")
+    me, out = os.getpid(), set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # the process ended while we looked
+        if ppid == me:
+            out.add(int(stat.parent.name))
+    return out
+
+
+def _assert_equal_entries(got: list, ref: list) -> None:
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        if isinstance(a, dict):
+            assert a.keys() == b.keys()
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key])
+        else:
+            np.testing.assert_array_equal(a[0], b[0])
+            assert a[1] == b[1]
+
+
+def test_pool_results_equal_inline_chunks():
+    with WorkerPool(3) as pool:
+        for ts, k, d in CASES.values():
+            rng = np.random.default_rng(len(ts) + k)
+            params = GmmParams(rng.dirichlet(np.full(k, 3.0)), rng.normal(size=(k, d)),
+                               rng.uniform(0.3, 2.0, size=(k, d)))
+            layer = xavier_init(d, 5)
+            images = [rng.normal(0.0, 0.8, size=(t, d)) for t in ts]
+            labels = np.where(rng.random((len(ts), 2)) < 0.5, 1.0, -1.0)
+            thetas = rng.normal(size=(2, fv_length(k, d) + 1))
+            items = list(zip(images, labels))
+            for mode in TrainMode:
+                shared = (raw_from_params(params), layer, thetas,
+                          mode.updates_gmm, mode.updates_layer)
+                _assert_equal_entries(map_chunks(_grad_chunk, items, shared, pool),
+                                      _grad_chunk(items, *shared))
+            for encoder in (Encoder(params, layer), Encoder(params)):
+                _assert_equal_entries(map_chunks(_encode_chunk, images, (encoder,), pool),
+                                      _encode_chunk(images, encoder))
+        # fewer items than workers: one chunk per item, in order
+        _assert_equal_entries(map_chunks(_encode_chunk, images[:2], (encoder,), pool),
+                              _encode_chunk(images[:2], encoder))
+
+
+@pytest.mark.parametrize("preset", [None, "30"], ids=["unset", "preset"])
+def test_pool_leaves_environ_as_found(preset, monkeypatch):
+    if preset is None:
+        monkeypatch.delenv(TIMEOUT, raising=False)
+    else:
+        monkeypatch.setenv(TIMEOUT, preset)
+    before = dict(os.environ)
+    with WorkerPool(2) as pool:
+        assert dict(os.environ) == before
+        # the workers started with a short BLAS spin timeout
+        assert pool._executor.submit(os.getenv, TIMEOUT).result(timeout=60) == "4"
+    assert dict(os.environ) == before
+
+
+def test_one_worker_runs_inline_without_a_process():
+    rng = np.random.default_rng(2)
+    encoder = Encoder(GmmParams(np.array([0.4, 0.6]), rng.normal(size=(2, 2)),
+                                np.ones((2, 2))))
+    images = [rng.normal(size=(5, 2)) for _ in range(3)]
+    before = _children()
+    with WorkerPool(1) as pool:
+        assert _children() == before
+        _assert_equal_entries(map_chunks(_encode_chunk, images, (encoder,), pool),
+                              _encode_chunk(images, encoder))
+
+
+def _train_config(mode=TrainMode.THETA_GMM_FEATURE):
+    return TrainConfig(n_components=2, batch_size=8, eta=1e-3, svm_init_epochs=8,
+                       svm_epochs=40, joint_epochs=1, mode=mode, seed=3)
+
+
+@pytest.fixture
+def fresh_process():
+    """No resource tracker running, as in a fresh process: a pool leaves
+    one that it found running, so an earlier pool's would hide a leak."""
+    resource_tracker._resource_tracker._stop()
+
+
+def test_no_process_outlives_train(fresh_process):
+    dataset = make_synthetic_2d(n_per_class=6, seed=7)
+    before = _children()
+    pipeline.train(dataset, _train_config(), workers=2)
+    assert _children() - before == set()
+
+
+def test_no_process_outlives_a_train_that_raises(fresh_process, monkeypatch):
+    dataset = make_synthetic_2d(n_per_class=6, seed=7)
+    phase1 = pipeline.phase1_init
+
+    def poisoned(*args, **kwargs):
+        state = phase1(*args, **kwargs)
+        state.raw.nu[0] = np.nan  # shipped to the workers with each step
+        return state
+
+    monkeypatch.setattr(pipeline, "phase1_init", poisoned)
+    before = _children()
+    with pytest.raises(RuntimeError, match="non-finite gradient"):
+        pipeline.train(dataset, _train_config(TrainMode.THETA_GMM), workers=2)
+    assert _children() - before == set()

@@ -7,7 +7,14 @@ import pytest
 
 import fvlayer.gmm as gmm
 import fvlayer.pipeline as pipeline
-from fvlayer.data_io import make_synthetic_2d, read_checkpoint, write_checkpoint
+from fvlayer.data_io import (
+    Dataset,
+    DatasetItem,
+    make_synthetic_2d,
+    read_checkpoint,
+    write_checkpoint,
+)
+from fvlayer.feature_layer import invert_features
 from fvlayer.gmm import VARIANCE_FLOOR
 from fvlayer.pipeline import (
     METRICS_HEADER,
@@ -39,6 +46,24 @@ def dataset():
 
 
 # -------------------------------------------------------------- phase 1
+
+
+def test_phase1_inverts_all_images_in_one_call(dataset, monkeypatch):
+    calls = []
+
+    def counted(features, params):
+        calls.append(features.shape)
+        return invert_features(features, params)
+
+    monkeypatch.setattr(pipeline, "invert_features", counted)
+    # images of 20 to 24 points: one solve over all rows, split back
+    items = [DatasetItem(item.image_id, item.features[: 20 + i % 5], item.labels)
+             for i, item in enumerate(dataset.items)]
+    state = phase1_init(Dataset(items), tiny_config())
+    assert calls == [(sum(len(item.features) for item in items), 2)]
+    for inputs, item in zip(state.inputs, items):
+        np.testing.assert_array_equal(
+            inputs, invert_features(item.features, state.init_layer))
 
 
 def test_phase1_produces_consistent_state(dataset):
