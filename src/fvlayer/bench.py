@@ -68,21 +68,18 @@ def _median_ms(fn, repeats: int) -> float:
     return float(np.median(samples))
 
 
-def time_instance(t: int, k: int, d: int, seed: int = 0,
-                  repeats: int = _DEFAULT_REPEATS, threads: int = 1) -> BenchRow:
-    """Median per-pass wall time for one (T, K, D) problem size."""
-    features, params, upstream = _random_instance(t, k, d, seed)
-    _, gamma, _ = fv_forward(features, params)
-
-    fwd = _median_ms(lambda: fv_forward(features, params), repeats)
-    bwd = _median_ms(lambda: fv_backward(features, params, gamma, upstream), repeats)
-    return BenchRow(t=t, k=k, d=d, threads=threads, fwd_ms=fwd, bwd_ms=bwd)
-
-
 def scaling_in_t(t_values: list[int], k: int = 16, d: int = 32,
                  seed: int = 0, repeats: int = _DEFAULT_REPEATS) -> list[BenchRow]:
-    """One row per T at fixed K, D; used to check linear growth in T."""
-    return [time_instance(t, k, d, seed=seed, repeats=repeats) for t in t_values]
+    """Median per-pass wall times, one row per T at fixed K, D; used to check
+    linear growth in T. Every row is timed in this process (threads 1)."""
+    rows = []
+    for t in t_values:
+        features, params, upstream = _random_instance(t, k, d, seed)
+        _, gamma, _ = fv_forward(features, params)
+        fwd = _median_ms(lambda: fv_forward(features, params), repeats)
+        bwd = _median_ms(lambda: fv_backward(features, params, gamma, upstream), repeats)
+        rows.append(BenchRow(t=t, k=k, d=d, threads=1, fwd_ms=fwd, bwd_ms=bwd))
+    return rows
 
 
 def interleaved_doubling_factors(t_values: list[int], k: int = 16, d: int = 32,

@@ -64,6 +64,16 @@ def _require_file(path: str, flag: str) -> None:
         raise UsageError(f"{flag}: no such file: {path}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an int: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _float_cell(value: float) -> str:
     return _FLOAT_FMT % value
 
@@ -192,22 +202,9 @@ def cmd_demo2d(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- bench
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an int: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an int list: {text!r}") from exc
-    if not values or any(v < 1 for v in values):
+    values = [_positive_int(tok) for tok in text.split(",") if tok]
+    if not values:
         raise argparse.ArgumentTypeError(f"need positive ints: {text!r}")
     return values
 
@@ -255,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pca", help="fit a PCA projection on feature files")
     p.add_argument("--input", required=True, help="directory of .fvfs files")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=_positive_int, default=64)
     p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--apply-out", default=None,
                    help="also write projected copies of the inputs here")
@@ -266,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--mode", choices=[m.value for m in TrainMode],
                    default=TrainMode.THETA_GMM_FEATURE.value)
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--batch", type=int, default=24)
+    p.add_argument("--k", type=_positive_int, default=32)
+    p.add_argument("--batch", type=_positive_int, default=24)
     p.add_argument("--eta", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=10,
                    help="joint training epochs")
@@ -276,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svm-epochs", type=int, default=200,
                    help="SDCA epoch cap for per-epoch refits")
     p.add_argument("--gap-tol", type=float, default=0.01)
-    p.add_argument("--subsample", type=int, default=None,
+    p.add_argument("--subsample", type=_positive_int, default=None,
                    help="max points per image for GMM fitting")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_positive_int, default=1,
@@ -298,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("demo2d", help="2D point-shifting demonstration")
-    p.add_argument("--steps", type=int, default=40)
+    p.add_argument("--steps", type=_positive_int, default=40)
     p.add_argument("--eta", type=float, default=0.4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--images", type=int, default=60,
+    p.add_argument("--k", type=_positive_int, default=2)
+    p.add_argument("--images", type=_positive_int, default=60,
                    help="images per class")
     p.add_argument("--seed", type=int, default=23)
     p.add_argument("--out", required=True, help="positions CSV path")
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_int_list, default=[1024, 2048, 4096])
     p.add_argument("--k", type=_int_list, default=[16])
     p.add_argument("--d", type=_int_list, default=[32])
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="workers for --speedup; CSV rows are timed in one process")
     p.add_argument("--speedup", action="store_true",
@@ -321,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="generate the synthetic 2D dataset")
-    p.add_argument("--images", type=int, default=60, help="images per class")
-    p.add_argument("--points", type=int, default=32)
+    p.add_argument("--images", type=_positive_int, default=60, help="images per class")
+    p.add_argument("--points", type=_positive_int, default=32)
     p.add_argument("--seed", type=int, default=21)
     p.add_argument("--out", required=True, help="feature directory")
     p.add_argument("--labels", required=True, help="label file path")

@@ -51,10 +51,10 @@ class SufficientStats:
     s1: np.ndarray
     s2: np.ndarray
 
-    def starved_count(self, tol: float = 1e-12):
-        """Number of components with posterior mass below tol: an int for
-        one image, an (B,) array for a stack."""
-        counts = np.sum(self.s0 < tol, axis=-1)
+    def starved_count(self):
+        """Number of components with posterior mass below gmm.STARVED_MASS:
+        an int for one image, an (B,) array for a stack."""
+        counts = np.sum(self.s0 < gmm.STARVED_MASS, axis=-1)
         return int(counts) if counts.ndim == 0 else counts
 
 
@@ -85,17 +85,9 @@ def split_blocks(
 def _check_inputs(
     features: np.ndarray, params: GmmParams, n_images: int | None = None
 ) -> tuple[np.ndarray, int]:
-    """Features as float64 (B * T, D) rows, and B (1 for one image)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D (T, D), got shape {features.shape}")
-    if features.shape[0] == 0:
-        raise ValueError("cannot encode an empty point set")
-    if features.shape[1] != params.dim:
-        raise ValueError(
-            f"feature dimension {features.shape[1]} does not match mixture dim "
-            f"{params.dim}"
-        )
+    """Features as float64 (B * T, D) rows, checked like `posteriors`
+    checks them, and B (1 for one image)."""
+    features = gmm._check_features(features, params.dim)
     b = 1 if n_images is None else n_images
     if b < 1 or features.shape[0] % b:
         raise ValueError(

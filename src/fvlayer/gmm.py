@@ -27,6 +27,10 @@ ZETA_LIMIT = 30.0
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# A component whose posterior mass over a point set is below this starves:
+# EM re-seeds it, and an encoding counts it.
+STARVED_MASS = 1e-12
+
 # Passes that form (rows, K, D) intermediates walk them in tiles of at most
 # this many values (1 MiB of float64 per buffer): the E-step, whose rows are
 # independent, and the encoder's backward, whose tiles carry every sum in
@@ -40,6 +44,7 @@ __all__ = [
     "VARIANCE_FLOOR",
     "NU_LIMIT",
     "ZETA_LIMIT",
+    "STARVED_MASS",
     "GmmParams",
     "RawGmmParams",
     "posteriors",
@@ -174,10 +179,14 @@ def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
     return out
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """(T, 1) log of the row sums of exp(a), shifted by the row maxima."""
-    m = a.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))
+def _log_posteriors(features: np.ndarray, params: GmmParams) -> tuple:
+    """(T, K) log posteriors of checked features, and their (T, 1) log
+    likelihoods: the log-sum-exp of each row of the log joint, shifted by
+    the row maximum. The E-step of both `posteriors` and `em_fit`."""
+    log_joint = _log_density_matrix(features, params) + np.log(params.weights)[None, :]
+    m = log_joint.max(axis=1, keepdims=True)
+    log_norm = m + np.log(np.exp(log_joint - m).sum(axis=1, keepdims=True))
+    return log_joint - log_norm, log_norm
 
 
 def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -188,9 +197,7 @@ def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
     Memory is O(T * K) plus one tile buffer: no (T, K, D) array is formed.
     """
     features = _check_features(features, params.dim)
-    log_dens = _log_density_matrix(features, params)
-    log_joint = log_dens + np.log(params.weights)[None, :]
-    return np.exp(log_joint - _logsumexp(log_joint))
+    return np.exp(_log_posteriors(features, params)[0])
 
 
 def _kmeanspp_centers(
@@ -295,10 +302,10 @@ def em_fit(
     """Expectation-maximization refinement of a seeded mixture.
 
     Stops when the mean log-likelihood improves by less than `tol` in
-    relative terms. A component whose posterior mass starves (below 1e-12)
-    is re-seeded to a random data point and logged as a warning. Memory is
-    O(T * K + T * D) plus one tile buffer: the E-step walks its (rows, K, D)
-    intermediate like `posteriors` does.
+    relative terms. A component whose posterior mass starves (below
+    STARVED_MASS) is re-seeded to a random data point and logged as a
+    warning. Memory is O(T * K + T * D) plus one tile buffer: the E-step is
+    the one `posteriors` runs.
     """
     features = _check_features(features, init.dim)
     t = features.shape[0]
@@ -308,14 +315,12 @@ def em_fit(
     prev_ll = -np.inf
     sq = features**2
     for _ in range(max_iter):
-        log_dens = _log_density_matrix(features, params)
-        log_joint = log_dens + np.log(params.weights)[None, :]
-        log_norm = _logsumexp(log_joint)
+        log_gamma, log_norm = _log_posteriors(features, params)
         mean_ll = float(log_norm[:, 0].mean())
-        gamma = np.exp(log_joint - log_norm)
+        gamma = np.exp(log_gamma)
 
         nk = gamma.sum(axis=0)
-        starved = nk < 1e-12
+        starved = nk < STARVED_MASS
         if starved.any():
             for k in np.flatnonzero(starved):
                 pick = int(rng.integers(t))

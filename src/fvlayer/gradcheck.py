@@ -101,12 +101,20 @@ def fv_forward_naive(features: np.ndarray, params: GmmParams) -> np.ndarray:
     return np.concatenate([f_w, f_mu.ravel(), f_var.ravel()])
 
 
-def _onehot_backwards(features: np.ndarray, params: GmmParams) -> list[tuple]:
-    """fv_backward for each one-hot upstream, in encoding order."""
+def _onehot_rows(backward, n: int) -> np.ndarray:
+    """Row i is backward(e_i), raveled, for the n one-hot upstreams e_i: the
+    Jacobian whose transpose `backward` applies."""
+    return np.stack([np.ravel(backward(one_hot)) for one_hot in np.eye(n)])
+
+
+def _fv_rows(features: np.ndarray, params: GmmParams, pick) -> np.ndarray:
+    """_onehot_rows of pick(fv_backward(...)) over the encoding entries."""
     features, _ = _check_inputs(features, params)
     gamma = posteriors(features, params)
-    eye = np.eye(fv_length(params.n_components, params.dim))
-    return [fv_backward(features, params, gamma, one_hot) for one_hot in eye]
+    return _onehot_rows(
+        lambda upstream: pick(fv_backward(features, params, gamma, upstream)),
+        fv_length(params.n_components, params.dim),
+    )
 
 
 def fv_jacobian_params(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -116,15 +124,14 @@ def fv_jacobian_params(features: np.ndarray, params: GmmParams) -> np.ndarray:
     [weights | means | variances]. Built by contracting one-hot upstreams,
     so it exercises exactly the production backward path.
     """
-    return np.stack([
-        np.concatenate([dw, dmu.ravel(), dvar.ravel()])
-        for dw, dmu, dvar, _ in _onehot_backwards(features, params)
-    ])
+    return _fv_rows(
+        features, params, lambda grads: np.concatenate([g.ravel() for g in grads[:3]])
+    )
 
 
 def fv_jacobian_input(features: np.ndarray, params: GmmParams) -> np.ndarray:
     """Full input Jacobian, shape ((2D+1)K, T * D). Debug sizes only."""
-    return np.stack([dx.ravel() for *_, dx in _onehot_backwards(features, params)])
+    return _fv_rows(features, params, lambda grads: grads[3])
 
 
 def posterior_grad_input(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -299,13 +306,7 @@ def check_norm_block(dim: int, seed: int, step: float = DEFAULT_STEP) -> float:
     rng = np.random.default_rng(seed + 2000)
     vector = rng.uniform(0.1, 1.5, size=dim) * rng.choice([-1.0, 1.0], size=dim)
     numeric = fd_jacobian(norm_forward, vector, step)  # (dim, dim)
-    analytic = np.empty((dim, dim))
-    one_hot = np.zeros(dim)
-    for i in range(dim):
-        one_hot[i] = 1.0
-        # J^T e_i is the i-th row of the Jacobian
-        analytic[i] = norm_backward(vector, one_hot)
-        one_hot[i] = 0.0
+    analytic = _onehot_rows(lambda upstream: norm_backward(vector, upstream), dim)
     return max_rel_error(analytic, numeric)
 
 
@@ -329,25 +330,15 @@ def check_reparam_blocks(
             RawGmmParams(raw.nu, zeta_vec.reshape(raw.zeta.shape), raw.means, raw.epsilon)
         ).variances.ravel()
 
+    k, d = n_components, dim
     numeric_nu = fd_jacobian(weights_of, raw.nu, step)  # (K, K)
-    analytic_nu = np.empty((n_components, n_components))
-    one_hot = np.zeros(n_components)
-    zeros_var = np.zeros((n_components, dim))
-    for i in range(n_components):
-        one_hot[i] = 1.0
-        analytic_nu[i], _ = reparam_backward(raw, one_hot, zeros_var)
-        one_hot[i] = 0.0
+    analytic_nu = _onehot_rows(lambda u: reparam_backward(raw, u, np.zeros((k, d)))[0], k)
     err_nu = max_rel_error(analytic_nu, numeric_nu)
 
     numeric_zeta = fd_jacobian(variances_of, raw.zeta.ravel(), step)
-    analytic_zeta = np.empty((n_components * dim, n_components * dim))
-    hot = np.zeros(n_components * dim)
-    zeros_w = np.zeros(n_components)
-    for i in range(n_components * dim):
-        hot[i] = 1.0
-        _, dz = reparam_backward(raw, zeros_w, hot.reshape(n_components, dim))
-        analytic_zeta[i] = dz.ravel()
-        hot[i] = 0.0
+    analytic_zeta = _onehot_rows(
+        lambda u: reparam_backward(raw, np.zeros(k), u.reshape(k, d))[1], k * d
+    )
     err_zeta = max_rel_error(analytic_zeta, numeric_zeta)
     return {"reparam/nu": err_nu, "reparam/zeta": err_zeta}
 

@@ -18,6 +18,7 @@ a monkeypatch made in the parent process does not reach them.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -30,17 +31,6 @@ __all__ = ["WorkerPool", "map_chunks", "seed_for"]
 # OpenBLAS helper threads wait 2**4 cycles before they sleep, instead of
 # the default 2**28 (about 0.1 s of spinning after every call).
 _BLAS_TIMEOUT = ("OPENBLAS_THREAD_TIMEOUT", "4")
-
-_barrier = None  # a worker's copy of its pool's start-up barrier
-
-
-def _join(barrier) -> None:
-    global _barrier
-    _barrier = barrier
-
-
-def _rendezvous() -> None:
-    _barrier.wait(timeout=120)
 
 
 class WorkerPool:
@@ -64,14 +54,16 @@ class WorkerPool:
         preset = os.environ.get(key)
         os.environ[key] = value
         try:
+            barrier = context.Barrier(workers)
             # looked up at call time, so a wrapper on this module's name
             # sees each pool start
             self._executor = ProcessPoolExecutor(
-                workers, context, _join, (context.Barrier(workers),)
+                workers, context, functools.partial(barrier.wait, 120)
             )
-            # one task per process: each submit spawns a worker, and no task
-            # ends before every worker has started and joined the barrier
-            for future in [self._executor.submit(_rendezvous) for _ in range(workers)]:
+            # one no-op task per process: each submit spawns a worker, since
+            # no worker takes a task before every worker has started and
+            # passed the barrier in its initializer
+            for future in [self._executor.submit(int) for _ in range(workers)]:
                 future.result()
         except BaseException:
             self.close()

@@ -305,10 +305,35 @@ def _grad_chunk(
     return out
 
 
-def _encode_all(state: TrainState, pool: WorkerPool | None = None) -> np.ndarray:
+def _fit_mixture(pooled: np.ndarray, n_components: int, seed: int) -> GmmParams:
+    """k-means++ and Lloyd seeding, then EM, on the pooled points."""
+    seeded = kmeans_init(pooled, n_components, seed_for(seed, _TAG_KMEANS))
+    return em_fit(pooled, seeded, seed=seed_for(seed, _TAG_EM))
+
+
+def _fit_svms(
+    state: TrainState, round_index: int, pool: WorkerPool | None
+) -> np.ndarray:
+    """Encode the training set and fit every class's classifier; returns the
+    encodings. Round 0 starts cold under svm_init_epochs; later rounds
+    warm-start from the previous dual variables under svm_epochs."""
+    config = state.config
     results = map_chunks(_encode_chunk, state.inputs, (state.encoder(),), pool)
     state.starved_events += sum(starved for _, starved in results)
-    return np.stack([vec for vec, _ in results])
+    encodings = np.stack([vec for vec, _ in results])
+    warm = round_index > 0
+    state.svms = [
+        sdca_train(
+            encodings,
+            state.labels[:, class_index],
+            gap_tol=config.gap_tol,
+            max_epochs=config.svm_epochs if warm else config.svm_init_epochs,
+            seed=seed_for(config.seed, _TAG_SVM, class_index, round_index),
+            init_alpha=state.svms[class_index].alpha if warm else None,
+        )
+        for class_index in range(state.labels.shape[1])
+    ]
+    return encodings
 
 
 def phase1_init(
@@ -331,39 +356,24 @@ def phase1_init(
 
     dim = prepared[0].shape[1]
     layer0 = xavier_init(dim, seed_for(seed, _TAG_LAYER))
-    # one solve over every image's rows; each row's solution has the bits
-    # of a solve of its image alone
+    # one solve and one layer pass over every image's rows; each row has the
+    # bits of its image alone. The pooled encoder inputs at initialization
+    # are exactly the clamped raw features, by the inversion round trip.
+    rows = invert_features(np.vstack(prepared), layer0)
+    fitted = _fit_mixture(layer_forward(rows, layer0), config.n_components, seed)
     ends = np.cumsum([len(f) for f in prepared])[:-1]
-    inputs = np.split(invert_features(np.vstack(prepared), layer0), ends)
-
-    # the pooled encoder inputs at initialization are exactly the clamped
-    # raw features, by the inversion round trip
-    pooled = np.vstack([layer_forward(xt, layer0) for xt in inputs])
-    seeded = kmeans_init(pooled, config.n_components, seed_for(seed, _TAG_KMEANS))
-    fitted = em_fit(pooled, seeded, seed=seed_for(seed, _TAG_EM))
-    raw = raw_from_params(fitted)
 
     state = TrainState(
         config=config,
-        raw=raw,
+        raw=raw_from_params(fitted),
         init_layer=layer0,
         layer=layer0.copy(),
         svms=[],
-        inputs=inputs,
+        inputs=np.split(rows, ends),
         labels=labels,
         image_ids=[item.image_id for item in dataset.items],
     )
-    encodings = _encode_all(state, pool)
-    for class_index in range(labels.shape[1]):
-        state.svms.append(
-            sdca_train(
-                encodings,
-                labels[:, class_index],
-                gap_tol=config.gap_tol,
-                max_epochs=config.svm_init_epochs,
-                seed=seed_for(seed, _TAG_SVM, class_index, 0),
-            )
-        )
+    encodings = _fit_svms(state, 0, pool)
     _log_metrics(state, encodings, mean_loss=_mean_loss(state, encodings))
     return state
 
@@ -463,19 +473,9 @@ def retrain_svms(
     state: TrainState, round_index: int, pool: WorkerPool | None = None
 ) -> np.ndarray:
     """Re-encode the training set and retrain every classifier, warm-started
-    from its previous dual variables. Returns the fresh encodings."""
-    config = state.config
-    encodings = _encode_all(state, pool)
-    for class_index in range(len(state.svms)):
-        state.svms[class_index] = sdca_train(
-            encodings,
-            state.labels[:, class_index],
-            gap_tol=config.gap_tol,
-            max_epochs=config.svm_epochs,
-            seed=seed_for(config.seed, _TAG_SVM, class_index, round_index),
-            init_alpha=state.svms[class_index].alpha,
-        )
-    return encodings
+    from its previous dual variables; round_index is the epoch, at least 1.
+    Returns the fresh encodings."""
+    return _fit_svms(state, round_index, pool)
 
 
 def train(
@@ -606,16 +606,14 @@ def shift_demo(
         raise ValueError("steps must be at least 1")
     labels = dataset.label_matrix()[:, 0]
     clouds = [np.array(item.features, dtype=np.float64, copy=True) for item in dataset.items]
-    pooled = np.vstack(clouds)
-    seeded = kmeans_init(pooled, n_components, seed_for(seed, _TAG_KMEANS))
-    encoder = Encoder(em_fit(pooled, seeded, seed=seed_for(seed, _TAG_EM)))
+    encoder = Encoder(_fit_mixture(np.vstack(clouds), n_components, seed))
 
     positions: list[np.ndarray] = []
     accuracies = np.empty(steps + 1)
     separations = np.empty(steps + 1)
     alpha = None
     for step in range(steps + 1):
-        encodings = np.empty((len(clouds), fv_length(n_components, pooled.shape[1])))
+        encodings = np.empty((len(clouds), fv_length(n_components, encoder.params.dim)))
         stacks = []
         for indices, encoded, cache in _forward_stacks(encoder, clouds):
             encodings[indices] = encoded

@@ -55,13 +55,24 @@ def test_unknown_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+_TRAIN = ["train", "--train", "f", "--labels", "l", "--checkpoint", "c"]
+
+
+# each command line ends in the size flag under test, which gets a 0
 @pytest.mark.parametrize("subcommand", [
-    ["train", "--train", "f", "--labels", "l", "--checkpoint", "c"], ["bench"]])
+    _TRAIN + ["--threads"], ["bench", "--threads"],
+    _TRAIN + ["--k"], _TRAIN + ["--batch"], _TRAIN + ["--subsample"],
+    ["bench", "--repeats"],
+    ["demo2d", "--out", "p.csv", "--k"], ["demo2d", "--out", "p.csv", "--images"],
+    ["demo2d", "--out", "p.csv", "--steps"],
+    ["synth", "--out", "f", "--labels", "l", "--images"],
+    ["synth", "--out", "f", "--labels", "l", "--points"],
+    ["pca", "--input", "f", "--out", "m.fvpc", "--dim"]])
 def test_nonpositive_threads_is_usage_error_naming_the_flag(capsys, subcommand):
     with pytest.raises(SystemExit) as exc:
-        main(subcommand + ["--threads", "0"])
+        main(subcommand + ["0"])
     assert exc.value.code == 2
-    assert "--threads: must be at least 1, got 0" in capsys.readouterr().err
+    assert f"{subcommand[-1]}: must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_train_eval_flow(capsys, corpus, tmp_path):
@@ -135,7 +146,8 @@ def test_eval_rejects_class_count_mismatch(capsys, corpus, tmp_path):
     code, _, _ = run(capsys, "train", "--train", str(feats),
                      "--labels", str(labels), "--k", "2", "--batch", "8",
                      "--epochs", "0", "--init-epochs", "4",
-                     "--checkpoint", str(ckpt))
+                     "--checkpoint", str(ckpt),
+                     "--metrics", str(tmp_path / "metrics.csv"))
     assert code == 0
     bad_labels = tmp_path / "bad_labels.txt"
     bad_labels.write_text("a0000 +1\n")

@@ -56,15 +56,19 @@ def test_inversion_then_forward_recovers_saturating_inputs():
 @pytest.mark.parametrize("t,d,n", [(32, 2, 120), (1000, 32, 48), (1500, 8, 5),
                                    (7, 3, 40), (10, 1, 5)])
 def test_one_solve_over_stacked_images_equals_per_image_solves(t, d, n):
-    # phase one inverts every training image in one call
+    # phase one inverts every training image in one call, then pools the
+    # layer outputs with one layer_forward over the stacked inverted rows
     rng = np.random.default_rng(t + d + n)
     params = xavier_init(d, seed=n)
     params.bias = rng.normal(0.0, 0.1, size=d)
     images = [rng.uniform(-0.99, 0.99, size=(t + i % 3, d)) for i in range(n)]
     ends = np.cumsum([len(x) for x in images])[:-1]
-    together = np.split(invert_features(np.vstack(images), params), ends)
-    for got, image in zip(together, images):
-        np.testing.assert_array_equal(got, invert_features(image, params))
+    rows = invert_features(np.vstack(images), params)
+    pooled = np.split(layer_forward(rows, params), ends)
+    for got, out, image in zip(np.split(rows, ends), pooled, images):
+        alone = invert_features(image, params)
+        np.testing.assert_array_equal(got, alone)
+        np.testing.assert_array_equal(out, layer_forward(alone, params))
 
 
 def test_inversion_rejects_singular_weight():

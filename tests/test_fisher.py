@@ -108,9 +108,16 @@ def test_forward_duplication_invariant():
 
 
 def test_forward_rejects_dim_mismatch():
-    feats, params, _ = make_instance(2, 3, 4, seed=1)
-    with pytest.raises(ValueError):
-        fv_forward(feats[:, :2], params)
+    feats, params, rng = make_instance(2, 3, 4, seed=1)
+    gamma = posteriors(feats, params)
+    upstream = rng.normal(size=fv_length(2, 3))
+    # the backward takes no posterior pass, so it needs the row check too
+    cases = ((feats[:, :2], "mixture dim"), (feats[:0], "empty"), (feats[0], "2-D"))
+    for bad, why in cases:
+        with pytest.raises(ValueError, match=why):
+            fv_forward(bad, params)
+        with pytest.raises(ValueError, match=why):
+            fv_backward(bad, params, gamma, upstream)
 
 
 def test_stats_starved_count():
