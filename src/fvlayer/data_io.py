@@ -34,7 +34,6 @@ __all__ = [
     "DatasetItem",
     "Dataset",
     "PcaModel",
-    "MinMaxScale",
     "CheckpointData",
     "write_features",
     "read_features",
@@ -42,8 +41,6 @@ __all__ = [
     "pca_apply",
     "write_pca",
     "read_pca",
-    "minmax_fit",
-    "minmax_apply",
     "subsample",
     "write_label_file",
     "read_label_file",
@@ -229,30 +226,6 @@ def read_pca(path: str | Path) -> PcaModel:
     basis = reader.f64(d * d0, "basis").reshape(d, d0)
     reader.done()
     return PcaModel(mean=mean, basis=basis)
-
-
-@dataclass
-class MinMaxScale:
-    """Per-coordinate affine map onto [-1, 1] fitted on a training split."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def minmax_fit(samples: np.ndarray) -> MinMaxScale:
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError(f"samples must be nonempty 2-D, got shape {samples.shape}")
-    return MinMaxScale(lo=samples.min(axis=0), hi=samples.max(axis=0))
-
-
-def minmax_apply(scale: MinMaxScale, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    span = scale.hi - scale.lo
-    out = np.zeros_like(features, dtype=np.float64)
-    live = span > 0.0
-    out[:, live] = 2.0 * (features[:, live] - scale.lo[live]) / span[live] - 1.0
-    return out
 
 
 def subsample(features: np.ndarray, n: int, seed: int) -> np.ndarray:

@@ -321,13 +321,11 @@ def check_reparam_blocks(
     )
 
     def weights_of(nu_vec: np.ndarray) -> np.ndarray:
-        return reparam_forward(
-            RawGmmParams(nu_vec, raw.zeta, raw.means, raw.epsilon)
-        ).weights
+        return reparam_forward(RawGmmParams(nu_vec, raw.zeta, raw.means)).weights
 
     def variances_of(zeta_vec: np.ndarray) -> np.ndarray:
         return reparam_forward(
-            RawGmmParams(raw.nu, zeta_vec.reshape(raw.zeta.shape), raw.means, raw.epsilon)
+            RawGmmParams(raw.nu, zeta_vec.reshape(raw.zeta.shape), raw.means)
         ).variances.ravel()
 
     k, d = n_components, dim
@@ -413,9 +411,7 @@ def check_end_to_end(
     def loss_from(vec: np.ndarray) -> np.ndarray:
         nu, zeta, means, weight, bias = np.split(vec, np.cumsum([k, k * d, k * d, d * d]))
         encoder = Encoder(
-            reparam_forward(
-                RawGmmParams(nu, zeta.reshape(k, d), means.reshape(k, d), raw.epsilon)
-            ),
+            reparam_forward(RawGmmParams(nu, zeta.reshape(k, d), means.reshape(k, d))),
             FeatureLayerParams(weight.reshape(d, d), bias),
         )
         total = 0.0

@@ -14,6 +14,11 @@ OpenBLAS helper threads then sleep instead of spinning against the other
 workers' on a small host, while each process keeps the same BLAS thread
 count, so results stay bit for bit. Spawned workers import fvlayer afresh:
 a monkeypatch made in the parent process does not reach them.
+
+Spawned workers also re-import the main module. A script that starts
+workers (a `WorkerPool` or `pipeline.train` with two or more) must therefore
+do so under `if __name__ == "__main__":`; without the guard the pool's
+constructor raises a RuntimeError that says so.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 
 import numpy as np
@@ -31,6 +37,11 @@ __all__ = ["WorkerPool", "map_chunks", "seed_for"]
 # OpenBLAS helper threads wait 2**4 cycles before they sleep, instead of
 # the default 2**28 (about 0.1 s of spinning after every call).
 _BLAS_TIMEOUT = ("OPENBLAS_THREAD_TIMEOUT", "4")
+
+_GUARD_HINT = (
+    "spawned workers re-import the main module, so a script that starts "
+    'workers must do so under `if __name__ == "__main__":`'
+)
 
 
 class WorkerPool:
@@ -47,6 +58,12 @@ class WorkerPool:
         self._executor = None
         if workers <= 1:
             return
+        if getattr(multiprocessing.current_process(), "_inheriting", False):
+            # a worker re-running an unguarded main module: fail before
+            # making semaphores that its parent may kill it holding
+            raise RuntimeError(
+                f"a starting worker tried to start workers: {_GUARD_HINT}"
+            )
         tracker = resource_tracker._resource_tracker
         self._stop_tracker = tracker._fd is None  # not ours to stop otherwise
         context = multiprocessing.get_context("spawn")
@@ -54,17 +71,23 @@ class WorkerPool:
         preset = os.environ.get(key)
         os.environ[key] = value
         try:
-            barrier = context.Barrier(workers)
             # looked up at call time, so a wrapper on this module's name
-            # sees each pool start
+            # sees each pool start; the barrier lives only in the executor,
+            # so close() frees its semaphores before it stops the tracker
             self._executor = ProcessPoolExecutor(
-                workers, context, functools.partial(barrier.wait, 120)
+                workers, context,
+                functools.partial(context.Barrier(workers).wait, 120),
             )
             # one no-op task per process: each submit spawns a worker, since
             # no worker takes a task before every worker has started and
             # passed the barrier in its initializer
             for future in [self._executor.submit(int) for _ in range(workers)]:
                 future.result()
+        except BrokenProcessPool:
+            self.close()
+            raise RuntimeError(
+                f"a worker process died while starting: {_GUARD_HINT}"
+            ) from None
         except BaseException:
             self.close()
             raise

@@ -82,6 +82,9 @@ _TAG_LAYER = 4
 _TAG_SVM = 5
 _TAG_SHUFFLE = 6
 
+# L2 norm to which each parameter block's summed gradient is clipped
+GRAD_CLIP = 1e3
+
 
 class TrainMode(Enum):
     THETA = "theta"
@@ -109,7 +112,6 @@ class TrainConfig:
     mode: TrainMode = TrainMode.THETA_GMM_FEATURE
     seed: int = 0
     subsample: int | None = None  # per-image point cap applied before anything
-    grad_clip: float = 1e3  # L2 clip applied per parameter block
 
 
 @dataclass
@@ -219,7 +221,6 @@ class TrainState:
     svms: list[SvmModel]
     inputs: list[np.ndarray]  # feature-layer inputs per training image
     labels: np.ndarray  # (N, C)
-    image_ids: list[str]
     epoch: int = 0
     batches_done: int = 0
     starved_events: int = 0
@@ -371,7 +372,6 @@ def phase1_init(
         svms=[],
         inputs=np.split(rows, ends),
         labels=labels,
-        image_ids=[item.image_id for item in dataset.items],
     )
     encodings = _fit_svms(state, 0, pool)
     _log_metrics(state, encodings, mean_loss=_mean_loss(state, encodings))
@@ -458,7 +458,7 @@ def joint_step(
 
     eta = config.eta
     for key in keys:
-        blocks[key] = _clip_block(blocks[key], config.grad_clip)
+        blocks[key] = _clip_block(blocks[key], GRAD_CLIP)
     if mode.updates_gmm:
         state.raw.nu -= eta * blocks["d_nu"]
         state.raw.zeta -= eta * blocks["d_zeta"]
@@ -594,7 +594,6 @@ def shift_demo(
     eta: float = 0.5,
     n_components: int = 2,
     seed: int = 0,
-    gap_tol: float = 0.01,
 ) -> ShiftDemoResult:
     """Move raw points down the classifier's input gradient.
 
@@ -621,7 +620,6 @@ def shift_demo(
         svm = sdca_train(
             encodings,
             labels,
-            gap_tol=gap_tol,
             max_epochs=200,
             seed=seed_for(seed, _TAG_SVM, 0, step),
             init_alpha=alpha,

@@ -1,10 +1,10 @@
 """Linear SVM trained by stochastic dual coordinate ascent.
 
-Primal objective: 0.5 ||theta||^2 + (C / N) sum_i hinge(y_i theta^T xhat_i),
-where xhat appends a constant 1 so the bias rides inside theta. The dual is
-box-constrained to [0, C / N] per item and each coordinate update is closed
-form, so the dual objective never decreases. Training stops once the duality
-gap per item drops below a tolerance.
+Primal objective: 0.5 ||theta||^2 + sum_i hinge(y_i theta^T xhat_i), the
+C-SVM objective with C = N, where xhat appends a constant 1 so the bias rides
+inside theta. The dual is box-constrained to [0, C / N] = [0, 1] per item and
+each coordinate update is closed form, so the dual objective never decreases.
+Training stops once the duality gap per item drops below a tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
 class SvmModel:
     theta: np.ndarray  # (dim + 1,), bias last
     alpha: np.ndarray  # (N,) dual variables of the training set
-    c: float
     gap: float  # duality gap per item at the last check
     epochs_run: int
     dual_history: list[float] = field(default_factory=list)
@@ -66,13 +65,11 @@ def _objectives(
     labels: np.ndarray,
     theta: np.ndarray,
     alpha: np.ndarray,
-    box: float,
 ) -> tuple[float, float]:
     margins = labels * (augmented @ theta)
     hinge = np.maximum(0.0, 1.0 - margins).sum()
     reg = 0.5 * float(theta @ theta)
-    # the per-item hinge weight C / N is exactly the dual box
-    primal = reg + box * hinge
+    primal = reg + hinge
     dual = float(alpha.sum()) - reg
     return primal, dual
 
@@ -80,7 +77,6 @@ def _objectives(
 def sdca_train(
     vectors: np.ndarray,
     labels: np.ndarray,
-    c: float | None = None,
     gap_tol: float = 0.01,
     max_epochs: int = 200,
     seed: int = 0,
@@ -88,20 +84,16 @@ def sdca_train(
 ) -> SvmModel:
     """Train a binary SVM by dual coordinate ascent.
 
-    c defaults to N. One epoch visits every item once in a fresh random
-    permutation; theta is maintained incrementally and the duality gap
-    (primal - dual) / N is checked after each epoch. `init_alpha` warm-starts
-    the dual variables, e.g. after the feature vectors have moved slightly;
-    theta is then rebuilt from them before the first epoch.
+    One epoch visits every item once in a fresh random permutation; theta is
+    maintained incrementally and the duality gap (primal - dual) / N is
+    checked after each epoch. `init_alpha` warm-starts the dual variables,
+    e.g. after the feature vectors have moved slightly; it is clipped to the
+    box and theta is rebuilt from it before the first epoch.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     _check_training_set(vectors, labels)
     n = vectors.shape[0]
-    if c is None:
-        c = float(n)
-    box = c / n
-
     augmented = np.hstack([vectors, np.ones((n, 1))])
     sq_norms = np.einsum("ij,ij->i", augmented, augmented)
 
@@ -109,7 +101,7 @@ def sdca_train(
         if init_alpha.shape != (n,):
             raise ValueError(f"init_alpha shape {init_alpha.shape} must be ({n},)")
         _check_finite(init_alpha, "init_alpha")
-        alpha = np.clip(init_alpha.astype(np.float64, copy=True), 0.0, box)
+        alpha = np.clip(init_alpha.astype(np.float64, copy=True), 0.0, 1.0)
     else:
         alpha = np.zeros(n)
     theta = augmented.T @ (alpha * labels)
@@ -125,7 +117,7 @@ def sdca_train(
     step = np.empty_like(theta)
     dot, multiply = theta.dot, np.multiply  # theta is only updated in place
     rng = np.random.default_rng(seed)
-    primal, dual = _objectives(augmented, labels, theta, alpha, box)
+    primal, dual = _objectives(augmented, labels, theta, alpha)
     gap = (primal - dual) / n
     history: list[float] = []
     epochs = 0
@@ -133,18 +125,18 @@ def sdca_train(
         for i in rng.permutation(n).tolist():
             row, y, old = rows[i], ys[i], duals[i]
             margin = y * float(dot(row))
-            delta = min(max(old + (1.0 - margin) / norms[i], 0.0), box) - old
+            delta = min(max(old + (1.0 - margin) / norms[i], 0.0), 1.0) - old
             if delta != 0.0:
                 duals[i] = old + delta
                 theta += multiply(row, delta * y, step)
         alpha[:] = duals
         epochs += 1
-        primal, dual = _objectives(augmented, labels, theta, alpha, box)
+        primal, dual = _objectives(augmented, labels, theta, alpha)
         gap = (primal - dual) / n
         history.append(dual)
 
     return SvmModel(
-        theta=theta, alpha=alpha, c=c, gap=gap, epochs_run=epochs, dual_history=history
+        theta=theta, alpha=alpha, gap=gap, epochs_run=epochs, dual_history=history
     )
 
 

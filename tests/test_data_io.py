@@ -15,8 +15,6 @@ from fvlayer.data_io import (
     UnsupportedVersionError,
     load_dataset,
     make_synthetic_2d,
-    minmax_apply,
-    minmax_fit,
     pca_apply,
     pca_fit,
     read_checkpoint,
@@ -154,24 +152,6 @@ def test_pca_model_round_trip(tmp_path):
     back = read_pca(path)
     assert back.mean.tobytes() == model.mean.tobytes()
     assert back.basis.tobytes() == model.basis.tobytes()
-
-
-# -------------------------------------------------------------- minmax
-
-
-def test_minmax_maps_to_symmetric_unit_interval():
-    rng = np.random.default_rng(13)
-    samples = rng.normal(size=(100, 3)) * np.array([5.0, 0.1, 40.0])
-    scale = minmax_fit(samples)
-    scaled = minmax_apply(scale, samples)
-    np.testing.assert_allclose(scaled.min(axis=0), -1.0, atol=1e-15)
-    np.testing.assert_allclose(scaled.max(axis=0), 1.0, atol=1e-15)
-
-
-def test_minmax_degenerate_coordinate_goes_to_zero():
-    samples = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
-    scaled = minmax_apply(minmax_fit(samples), samples)
-    np.testing.assert_array_equal(scaled[:, 1], 0.0)
 
 
 # ----------------------------------------------------------- subsample

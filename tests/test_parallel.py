@@ -2,12 +2,15 @@
 found, and no process left behind."""
 
 import os
+import subprocess
+import sys
 from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fvlayer
 import fvlayer.pipeline as pipeline
 from fvlayer.data_io import make_synthetic_2d
 from fvlayer.feature_layer import xavier_init
@@ -135,3 +138,24 @@ def test_no_process_outlives_a_train_that_raises(fresh_process, monkeypatch):
     with pytest.raises(RuntimeError, match="non-finite gradient"):
         pipeline.train(dataset, _train_config(TrainMode.THETA_GMM), workers=2)
     assert _children() - before == set()
+
+
+def test_a_pool_in_an_unguarded_script_names_the_missing_guard(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from fvlayer.parallel import WorkerPool\n"
+        "WorkerPool(2).close()\n"
+    )
+    src = str(Path(fvlayer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: a worker process died while starting")
+    assert 'if __name__ == "__main__":' in last
+    # the workers' own tracebacks precede it, but nothing leaks at exit
+    assert "BrokenProcessPool" not in done.stderr
+    assert "leaked" not in done.stderr
+    assert "FileNotFoundError" not in done.stderr

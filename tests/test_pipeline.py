@@ -122,7 +122,7 @@ def test_joint_step_applies_clipped_sgd_update(dataset):
         [(frozen.inputs[i], frozen.labels[i]) for i in batch],
         frozen.raw, frozen.layer, frozen.theta_matrix(), True, True)
     eta = frozen.config.eta
-    clip = frozen.config.grad_clip
+    clip = pipeline.GRAD_CLIP
     expect_nu = frozen.raw.nu - eta * _clip_block(
         sum(e["d_nu"] for e in entries), clip)
     expect_w = frozen.layer.weight - eta * _clip_block(

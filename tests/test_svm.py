@@ -57,12 +57,11 @@ def test_sdca_dual_objective_never_decreases():
 
 
 def test_sdca_box_constraint_and_default_c():
+    # C = N, so the dual box C / N is [0, 1]
     vectors, labels = separable_set(40, margin=0.4, dim=2, seed=4)
     model = sdca_train(vectors, labels, seed=0)
-    assert model.c == 40.0  # defaults to N
-    box = model.c / 40.0
-    assert np.all(model.alpha >= -1e-15)
-    assert np.all(model.alpha <= box + 1e-15)
+    assert np.all(model.alpha >= 0.0)
+    assert np.all(model.alpha <= 1.0)
 
 
 def test_sdca_theta_is_dual_combination():
@@ -115,13 +114,13 @@ def test_sdca_rejects_non_finite_init_alpha():
         sdca_train(vectors, labels, init_alpha=init)
 
 
-def _reference_sdca_train(vectors, labels, c=None, gap_tol=0.01, max_epochs=200,
+def _reference_sdca_train(vectors, labels, gap_tol=0.01, max_epochs=200,
                           seed=0, init_alpha=None):
     """sdca_train's coordinate loop on numpy scalars, frozen: the oracle for
     its bit-exactness contract. Returns (SvmModel, updates clipped at 0,
     updates clipped at the box)."""
     n = vectors.shape[0]
-    c = float(n) if c is None else c
+    c = float(n)
     box = c / n
     augmented = np.hstack([vectors, np.ones((n, 1))])
     sq_norms = np.einsum("ij,ij->i", augmented, augmented)
@@ -154,45 +153,42 @@ def _reference_sdca_train(vectors, labels, c=None, gap_tol=0.01, max_epochs=200,
         epochs += 1
         gap, dual = gap_and_dual()
         history.append(dual)
-    model = SvmModel(theta=theta, alpha=alpha, c=c, gap=gap, epochs_run=epochs,
+    model = SvmModel(theta=theta, alpha=alpha, gap=gap, epochs_run=epochs,
                      dual_history=history)
     return model, at_zero, at_box
 
 
-# name: (N, dim, c, gap_tol, max_epochs, init_alpha kind, class overlap)
+# name: (N, dim, gap_tol, max_epochs, init_alpha kind, class overlap)
 SDCA_CASES = {
-    "cold": (40, 10, None, 0.01, 200, None, 0.5),
-    "cold dim 1040": (48, 1040, None, 0.01, 200, None, 1.0),
-    "cold N=2": (2, 10, None, 0.01, 200, None, 0.5),
-    "warm inside": (40, 10, None, 0.01, 200, "inside", 0.5),
-    "warm on bounds": (40, 10, None, 0.01, 200, "bounds", 0.5),
-    "warm outside": (40, 10, None, 0.01, 200, "outside", 0.5),
-    "warm dim 1040 outside": (48, 1040, None, 0.001, 200, "outside", 1.0),
-    "warm N=2 on bounds": (2, 10, None, 0.01, 200, "bounds", 0.5),
-    "c=3.7": (30, 10, 3.7, 0.01, 200, None, 2.0),
-    "c=250 warm": (30, 10, 250.0, 0.01, 200, "inside", 0.5),
-    "gap_tol=0 epoch cap": (40, 10, None, 0.0, 9, None, 0.5),
-    "gap_tol=0 warm epoch cap": (24, 1040, None, 0.0, 4, "outside", 1.0),
-    "overlapping classes": (60, 10, None, 1e-6, 40, None, 3.0),
-    "dim 1": (50, 1, None, 0.01, 200, None, 2.0),
+    "cold": (40, 10, 0.01, 200, None, 0.5),
+    "cold dim 1040": (48, 1040, 0.01, 200, None, 1.0),
+    "cold N=2": (2, 10, 0.01, 200, None, 0.5),
+    "warm inside": (40, 10, 0.01, 200, "inside", 0.5),
+    "warm on bounds": (40, 10, 0.01, 200, "bounds", 0.5),
+    "warm outside": (40, 10, 0.01, 200, "outside", 0.5),
+    "warm dim 1040 outside": (48, 1040, 0.001, 200, "outside", 1.0),
+    "warm N=2 on bounds": (2, 10, 0.01, 200, "bounds", 0.5),
+    "gap_tol=0 epoch cap": (40, 10, 0.0, 9, None, 0.5),
+    "gap_tol=0 warm epoch cap": (24, 1040, 0.0, 4, "outside", 1.0),
+    "overlapping classes": (60, 10, 1e-6, 40, None, 3.0),
+    "dim 1": (50, 1, 0.01, 200, None, 2.0),
 }
 
 
 def _sdca_case(name):
-    n, dim, c, gap_tol, max_epochs, init, overlap = SDCA_CASES[name]
+    n, dim, gap_tol, max_epochs, init, overlap = SDCA_CASES[name]
     rng = np.random.default_rng(sorted(SDCA_CASES).index(name))
     labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     rng.shuffle(labels)
     center = rng.normal(size=dim) / np.sqrt(dim)
     vectors = labels[:, None] * center + overlap * rng.normal(size=(n, dim)) / np.sqrt(dim)
-    box = (n if c is None else c) / n
     init_alpha = {
         None: None,
-        "inside": rng.uniform(0.0, box, size=n),
-        "bounds": np.where(rng.random(n) < 0.5, 0.0, box),
-        "outside": rng.uniform(-box, 2.0 * box, size=n),
+        "inside": rng.uniform(0.0, 1.0, size=n),
+        "bounds": np.where(rng.random(n) < 0.5, 0.0, 1.0),
+        "outside": rng.uniform(-1.0, 2.0, size=n),
     }[init]
-    kwargs = dict(c=c, gap_tol=gap_tol, max_epochs=max_epochs, seed=len(name),
+    kwargs = dict(gap_tol=gap_tol, max_epochs=max_epochs, seed=len(name),
                   init_alpha=init_alpha)
     return vectors, labels, kwargs
 
@@ -207,7 +203,6 @@ def test_sdca_bit_identical_to_reference_loop(name):
     np.testing.assert_array_equal(got.gap, expected.gap)
     assert got.epochs_run == expected.epochs_run
     np.testing.assert_array_equal(got.dual_history, expected.dual_history)
-    assert got.c == expected.c
 
 
 def test_sdca_reference_cases_cover_both_clips_and_the_epoch_cap():
@@ -218,7 +213,7 @@ def test_sdca_reference_cases_cover_both_clips_and_the_epoch_cap():
     assert sum(at_zero for _, at_zero, _ in runs.values()) > 0
     assert sum(at_box for _, _, at_box in runs.values()) > 0
     for name in ("gap_tol=0 epoch cap", "gap_tol=0 warm epoch cap"):
-        assert runs[name][0].epochs_run == SDCA_CASES[name][4]
+        assert runs[name][0].epochs_run == SDCA_CASES[name][3]
     assert runs["warm on bounds"][0].epochs_run >= 1
 
 
@@ -274,8 +269,8 @@ def test_accuracy_boundary_counts_as_negative():
 
 def test_backward_signal_is_negated_label_times_theta():
     theta = np.array([0.3, -0.7, 2.0, 0.25])  # last entry is the bias
-    model = SvmModel(theta=theta, alpha=np.zeros(2), c=2.0, gap=0.0,
-                     epochs_run=0, dual_history=[])
+    model = SvmModel(theta=theta, alpha=np.zeros(2), gap=0.0, epochs_run=0,
+                     dual_history=[])
     labels = np.array([1.0, -1.0])
     signal = backward_signal(labels, model)
     assert signal.shape == (2, 3)  # bias coordinate dropped
@@ -286,7 +281,7 @@ def test_backward_signal_is_negated_label_times_theta():
 def test_backward_signal_ignores_margin():
     # same label gives the same signal no matter where the item sits
     theta = np.array([1.0, -1.0, 0.0])
-    model = SvmModel(theta=theta, alpha=np.zeros(3), c=3.0, gap=0.0,
-                     epochs_run=0, dual_history=[])
+    model = SvmModel(theta=theta, alpha=np.zeros(3), gap=0.0, epochs_run=0,
+                     dual_history=[])
     signal = backward_signal(np.array([1.0, 1.0, 1.0]), model)
     assert np.all(signal == signal[0])
