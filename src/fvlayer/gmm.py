@@ -39,9 +39,12 @@ EM_MAX_ITER = 200
 # Passes that form (rows, K, D) intermediates walk them in tiles of at most
 # this many values (1 MiB of float64 per buffer): the E-step, whose rows are
 # independent, and the encoder's backward, whose tiles carry every sum in
-# row order. So the tile size bounds memory and never changes a result bit.
-# An image stack holds at most this many T * K * D values. What still grows
-# with T is O(T * K) or O(T * D).
+# row order. Row-wise scratch of (rows, K) or (rows, D) values walks blocks
+# of the same budget: the E-step's exponentials, k-means++ distances and
+# phase one's inversion and layer pass. So the tile size bounds memory and
+# never changes a result bit. An image stack holds at most this many
+# T * K * D values. What still grows with T is the O(T * K) or O(T * D)
+# arrays a pass returns or keeps, such as posteriors and pooled points.
 TILE_VALUES = 131072
 
 __all__ = [
@@ -186,11 +189,27 @@ def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
 def _log_posteriors(features: np.ndarray, params: GmmParams) -> tuple:
     """(T, K) log posteriors of checked features, and their (T, 1) log
     likelihoods: the log-sum-exp of each row of the log joint, shifted by
-    the row maximum. The E-step of both `posteriors` and `em_fit`."""
-    log_joint = _log_density_matrix(features, params) + np.log(params.weights)[None, :]
+    the row maximum. The E-step of both `posteriors` and `em_fit`.
+
+    It works in place on the log-density matrix. The shifted exponentials
+    go through one buffer of tile_rows(T, K) rows, each row summed alone,
+    so the (T, K) log posteriors are the one array of that size.
+    """
+    log_joint = _log_density_matrix(features, params)
+    log_joint += np.log(params.weights)
     m = log_joint.max(axis=1, keepdims=True)
-    log_norm = m + np.log(np.exp(log_joint - m).sum(axis=1, keepdims=True))
-    return log_joint - log_norm, log_norm
+    t, k = log_joint.shape
+    tile = tile_rows(t, k)
+    buf = np.empty((tile, k))
+    sums = np.empty((t, 1))
+    for lo in range(0, t, tile):
+        shifted = buf[: min(tile, t - lo)]
+        np.subtract(log_joint[lo : lo + tile], m[lo : lo + tile], out=shifted)
+        np.exp(shifted, out=shifted)
+        np.sum(shifted, axis=1, keepdims=True, out=sums[lo : lo + tile])
+    log_norm = m + np.log(sums)
+    log_joint -= log_norm
+    return log_joint, log_norm
 
 
 def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -198,10 +217,29 @@ def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
 
     Computed entirely in the log domain so that badly scaled inputs only
     shift log-densities instead of overflowing them. Rows sum to one.
-    Memory is O(T * K) plus one tile buffer: no (T, K, D) array is formed.
+    Memory is the (T, K) result, exponentiated in place, plus O(T) and
+    tile buffers: no (T, K, D) array and no second (T, K) array is formed.
     """
     features = _check_features(features, params.dim)
-    return np.exp(_log_posteriors(features, params)[0])
+    gamma = _log_posteriors(features, params)[0]
+    return np.exp(gamma, out=gamma)
+
+
+def _sq_distances(features: np.ndarray, center) -> np.ndarray:
+    """Squared distance of every row to `center`, shape (T,). Rows go
+    through one buffer of tile_rows(T, D) rows and each row is summed
+    alone, so no (T, D) temporary is formed and no block size changes a
+    result bit. A center of 0.0 gives the squared row norms exactly."""
+    t, d = features.shape
+    tile = tile_rows(t, d)
+    buf = np.empty((tile, d))
+    out = np.empty(t)
+    for lo in range(0, t, tile):
+        block = buf[: min(tile, t - lo)]
+        np.subtract(features[lo : lo + tile], center, out=block)
+        np.square(block, out=block)
+        np.sum(block, axis=1, out=out[lo : lo + tile])
+    return out
 
 
 def _kmeanspp_centers(
@@ -211,7 +249,7 @@ def _kmeanspp_centers(
     centers = np.empty((n_components, features.shape[1]))
     first = int(rng.integers(t))
     centers[0] = features[first]
-    d2 = np.sum((features - centers[0]) ** 2, axis=1)
+    d2 = _sq_distances(features, centers[0])
     for k in range(1, n_components):
         total = d2.sum()
         if total <= 0.0:
@@ -222,7 +260,7 @@ def _kmeanspp_centers(
             )
         idx = int(rng.choice(t, p=d2 / total))
         centers[k] = features[idx]
-        d2 = np.minimum(d2, np.sum((features - centers[k]) ** 2, axis=1))
+        np.minimum(d2, _sq_distances(features, centers[k]), out=d2)
     return centers
 
 
@@ -253,13 +291,16 @@ def kmeans_init(
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_centers(features, n_components, rng)
 
-    row_norms = np.sum(features**2, axis=1)
-    columns = np.ascontiguousarray(features.T)  # (D, T): one bincount per coordinate
+    row_norms = _sq_distances(features, 0.0)
+    # (D, T): one bincount per coordinate; on the strided columns of
+    # `features` itself, bincount runs about five times slower
+    columns = np.ascontiguousarray(features.T)
     sums = np.empty((n_components, d))
     assign = np.full(t, -1, dtype=np.intp)
+    d2 = np.empty((t, n_components))  # reused by every pass
     for _ in range(100):
         # scaling by -2 is exact, so this is |x|^2 - 2 x.c + |c|^2 bit for bit
-        d2 = features @ centers.T
+        np.matmul(features, centers.T, out=d2)
         d2 *= -2.0
         d2 += row_norms[:, None]
         d2 += np.sum(centers**2, axis=1)[None, :]
@@ -306,24 +347,25 @@ def em_fit(features: np.ndarray, init: GmmParams, seed: int = 0) -> GmmParams:
     warning, and the test starts over; EM_MAX_ITER bounds those passes. The
     strict xfail `test_em_runs_more_than_one_e_step` records this; the fix
     changes fitted mixtures, so it waits for a re-baseline (ROADMAP item 4).
-    Memory is O(T * K + T * D) plus one tile buffer: the E-step is the one
-    `posteriors` runs.
+    Memory is the (T, K) posteriors of the E-step `posteriors` runs, plus
+    the (T, D) squared features while the M-step lasts.
     """
     features = _check_features(features, init.dim)
     t = features.shape[0]
     params = init.copy()
     rng = np.random.default_rng(seed)
-    data_var = np.maximum(features.var(axis=0), VARIANCE_FLOOR)
+    data_var = None  # the re-seed variance, computed on first use
     prev_ll = -np.inf
-    sq = features**2
     for _ in range(EM_MAX_ITER):
-        log_gamma, log_norm = _log_posteriors(features, params)
+        gamma, log_norm = _log_posteriors(features, params)
         mean_ll = float(log_norm[:, 0].mean())
-        gamma = np.exp(log_gamma)
+        np.exp(gamma, out=gamma)
 
         nk = gamma.sum(axis=0)
         starved = nk < STARVED_MASS
         if starved.any():
+            if data_var is None:
+                data_var = np.maximum(features.var(axis=0), VARIANCE_FLOOR)
             for k in np.flatnonzero(starved):
                 pick = int(rng.integers(t))
                 params.means[k] = features[pick]
@@ -339,7 +381,7 @@ def em_fit(features: np.ndarray, init: GmmParams, seed: int = 0) -> GmmParams:
 
         params.weights = nk / t
         params.means = (gamma.T @ features) / nk[:, None]
-        second = (gamma.T @ sq) / nk[:, None]
+        second = (gamma.T @ features**2) / nk[:, None]
         params.variances = np.maximum(
             second - params.means**2, VARIANCE_FLOOR
         )

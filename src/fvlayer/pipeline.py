@@ -357,11 +357,19 @@ def phase1_init(
 
     dim = prepared[0].shape[1]
     layer0 = xavier_init(dim, seed_for(seed, _TAG_LAYER))
-    # one solve and one layer pass over every image's rows; each row has the
-    # bits of its image alone. The pooled encoder inputs at initialization
-    # are exactly the clamped raw features, by the inversion round trip.
-    rows = invert_features(np.vstack(prepared), layer0)
-    fitted = _fit_mixture(layer_forward(rows, layer0), config.n_components, seed)
+    # `rows` are the layer inputs, inverted in place; `pooled` are the points
+    # the mixture is fitted on. Those must be the layer's own outputs: they
+    # equal the clamped raw features only to rounding, not bit for bit.
+    # Row blocks bound the scratch; each row has the bits of its image alone,
+    # so no block size changes a result bit.
+    rows = np.vstack(prepared)
+    pooled = np.empty_like(rows)
+    block = gmm.tile_rows(len(rows), dim)
+    for lo in range(0, len(rows), block):
+        rows[lo : lo + block] = invert_features(rows[lo : lo + block], layer0)
+        pooled[lo : lo + block] = layer_forward(rows[lo : lo + block], layer0)
+    fitted = _fit_mixture(pooled, config.n_components, seed)
+    del pooled
     ends = np.cumsum([len(f) for f in prepared])[:-1]
 
     state = TrainState(

@@ -361,10 +361,20 @@ def test_e_step_memory_bounded_in_t():
         tracemalloc.reset_peak()
         em_fit(feats, params)
         em_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kmeans_init(feats, 16, seed=0)
+        kmeans_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert posteriors_peak < limit
     assert em_peak < limit
+    # in multiples of the (T, D) input: posteriors keep one (T, K) array
+    # (K = D / 2 here), EM adds the squared features for the M-step, and
+    # k-means holds a (D, T) column copy and one (T, K) distance buffer
+    size = feats.nbytes
+    assert posteriors_peak < 1.25 * size
+    assert em_peak < 2.0 * size
+    assert kmeans_peak < 1.85 * size
 
 
 # ------------------------------------------------- reparameterization

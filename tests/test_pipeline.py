@@ -1,6 +1,7 @@
 """Two-phase trainer: init, SGD mechanics, determinism, demo."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from fvlayer.data_io import (
     read_checkpoint,
     write_checkpoint,
 )
-from fvlayer.feature_layer import invert_features
-from fvlayer.gmm import VARIANCE_FLOOR
+from fvlayer.feature_layer import invert_features, layer_forward
+from fvlayer.gmm import VARIANCE_FLOOR, raw_from_params
 from fvlayer.pipeline import (
     METRICS_HEADER,
     TrainConfig,
     TrainMode,
+    TrainState,
     _clip_block,
+    _fit_mixture,
+    _fit_svms,
     _grad_chunk,
     checkpoint_encode,
     evaluate_checkpoint,
@@ -56,7 +60,8 @@ def test_phase1_inverts_all_images_in_one_call(dataset, monkeypatch):
         return invert_features(features, params)
 
     monkeypatch.setattr(pipeline, "invert_features", counted)
-    # images of 20 to 24 points: one solve over all rows, split back
+    # images of 20 to 24 points, all within one row block: one solve over
+    # all rows, split back
     items = [DatasetItem(item.image_id, item.features[: 20 + i % 5], item.labels)
              for i, item in enumerate(dataset.items)]
     state = phase1_init(Dataset(items), tiny_config())
@@ -84,6 +89,64 @@ def test_phase1_produces_consistent_state(dataset):
             checkpoint_encode(state.to_checkpoint(), dataset.items[0].features),
             state.encoder().forward(state.inputs[0][None])[0][0],
             rtol=1e-10, atol=1e-12)
+
+
+def blob_dataset(lengths, dim, seed):
+    """Two-class images of the given point counts, features inside (-1, 1)."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for i, t in enumerate(lengths):
+        label = np.array([1.0, -1.0]) if i % 2 else np.array([-1.0, 1.0])
+        features = np.tanh(0.5 * rng.normal(size=(t, dim)) + 0.1 * label[0])
+        items.append(DatasetItem(f"img{i}", features, label))
+    return Dataset(items)
+
+
+def test_phase1_blocks_are_bit_identical_to_one_pass(monkeypatch):
+    # blocks of 37 rows on 12 images of 50 to 94 points: most block edges
+    # fall inside an image
+    data = blob_dataset([50 + 4 * i for i in range(12)], dim=8, seed=5)
+    config = tiny_config(n_components=3)
+    monkeypatch.setattr(gmm, "TILE_VALUES", 37 * 8)
+    state = phase1_init(data, config)
+
+    # the one-pass path: one solve and one layer pass over all rows
+    prepared = [item.features for item in data.items]
+    rows = invert_features(np.vstack(prepared), state.init_layer)
+    fitted = _fit_mixture(layer_forward(rows, state.init_layer), 3, config.seed)
+    expected = TrainState(
+        config=config,
+        raw=raw_from_params(fitted),
+        init_layer=state.init_layer,
+        layer=state.init_layer.copy(),
+        svms=[],
+        inputs=np.split(rows, np.cumsum([len(f) for f in prepared])[:-1]),
+        labels=data.label_matrix(),
+    )
+    _fit_svms(expected, 0, None)
+
+    for got, want in zip(state.inputs, expected.inputs, strict=True):
+        assert np.array_equal(got, want)
+    for name in ("nu", "zeta", "means"):
+        assert np.array_equal(getattr(state.raw, name), getattr(expected.raw, name))
+    for got, want in zip(state.svms, expected.svms, strict=True):
+        assert np.array_equal(got.theta, want.theta)
+
+
+def test_phase1_memory_bounded_by_pooled_points():
+    # train-mid shapes: 48 images of T = 1000, D = 32, K = 16. Phase one
+    # keeps the layer inputs and the pooled points, plus one work array of
+    # (T, D) or (T, K) values at a time.
+    data = blob_dataset([1000] * 48, dim=32, seed=9)
+    pooled_bytes = 48 * 1000 * 32 * 8
+    config = tiny_config(n_components=16, svm_init_epochs=2)
+    tracemalloc.start()
+    try:
+        phase1_init(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * pooled_bytes
 
 
 def test_phase1_subsample_limits_gmm_pool(dataset):
