@@ -9,7 +9,6 @@ they can be plotted or diffed between machines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,32 +17,19 @@ from .gmm import GmmParams
 from .parallel import WorkerPool, map_chunks
 from .pipeline import Encoder, _encode_chunk
 
-CSV_FIELDS = ("t", "k", "d", "threads", "fwd_ms", "bwd_ms")
+CSV_FIELDS = ("t", "k", "d", "fwd_ms", "bwd_ms")
 
 _WARMUP_RUNS = 1
 # fresh workers run their first few batches several times slower
 _POOL_WARMUP_RUNS = 3
 _DEFAULT_REPEATS = 5
 
-
-@dataclass
-class BenchRow:
-    t: int
-    k: int
-    d: int
-    threads: int
-    fwd_ms: float
-    bwd_ms: float
-
-    def as_csv(self) -> list[str]:
-        return [
-            str(self.t),
-            str(self.k),
-            str(self.d),
-            str(self.threads),
-            f"{self.fwd_ms:.3f}",
-            f"{self.bwd_ms:.3f}",
-        ]
+# mixture size of every timing (scaling_in_t's default)
+_K, _D = 16, 32
+# the batch speedup times BATCH_IMAGES images of _BATCH_T points each
+BATCH_IMAGES = 24
+_BATCH_T = 2000
+_BATCH_REPEATS = 3
 
 
 def _random_instance(t: int, k: int, d: int, seed: int):
@@ -68,22 +54,21 @@ def _median_ms(fn, repeats: int) -> float:
     return float(np.median(samples))
 
 
-def scaling_in_t(t_values: list[int], k: int = 16, d: int = 32,
-                 seed: int = 0, repeats: int = _DEFAULT_REPEATS) -> list[BenchRow]:
-    """Median per-pass wall times, one row per T at fixed K, D; used to check
-    linear growth in T. Every row is timed in this process (threads 1)."""
+def scaling_in_t(t_values: list[int], k: int = _K, d: int = _D,
+                 seed: int = 0, repeats: int = _DEFAULT_REPEATS) -> list[tuple]:
+    """Median per-pass wall times, one (t, k, d, fwd_ms, bwd_ms) row per T
+    at fixed K, D, timed in this process; used to check linear growth in T."""
     rows = []
     for t in t_values:
         features, params, upstream = _random_instance(t, k, d, seed)
         _, gamma, _ = fv_forward(features, params)
         fwd = _median_ms(lambda: fv_forward(features, params), repeats)
         bwd = _median_ms(lambda: fv_backward(features, params, gamma, upstream), repeats)
-        rows.append(BenchRow(t=t, k=k, d=d, threads=1, fwd_ms=fwd, bwd_ms=bwd))
+        rows.append((t, k, d, fwd, bwd))
     return rows
 
 
-def interleaved_doubling_factors(t_values: list[int], k: int = 16, d: int = 32,
-                                 seed: int = 0, rounds: int = 21) -> list[float]:
+def interleaved_doubling_factors(t_values: list[int], rounds: int = 21) -> list[float]:
     """bwd time ratios between consecutive T values, robust to a shared host.
 
     Each round times one backward pass at every T in turn, so a slow spell
@@ -92,7 +77,7 @@ def interleaved_doubling_factors(t_values: list[int], k: int = 16, d: int = 32,
     """
     passes = []
     for t in t_values:
-        features, params, upstream = _random_instance(t, k, d, seed)
+        features, params, upstream = _random_instance(t, _K, _D, 0)
         _, gamma, _ = fv_forward(features, params)
         passes.append((features, params, gamma, upstream))
     for args in passes:  # warm-up
@@ -106,30 +91,28 @@ def interleaved_doubling_factors(t_values: list[int], k: int = 16, d: int = 32,
     return [float(f) for f in np.median(times[:, 1:] / times[:, :-1], axis=0)]
 
 
-def batch_speedup(n_images: int = 24, t: int = 2000, k: int = 16, d: int = 32,
-                  workers: int = 4, seed: int = 0,
-                  repeats: int = 3) -> tuple[float, float, float]:
+def batch_speedup(workers: int = 4, seed: int = 0) -> tuple[float, float, float]:
     """Times a batch encode inline and on a pool of `workers`; returns
     (ms1, msN, ratio). The pool is started and warmed up before any timed
     call, as `pipeline.train` starts one pool for a whole run."""
     rng = np.random.default_rng(seed)
-    _, params, _ = _random_instance(4, k, d, seed)
+    _, params, _ = _random_instance(4, _K, _D, seed)
     encoder = Encoder(params)
-    images = [rng.normal(size=(t, d)) for _ in range(n_images)]
+    images = [rng.normal(size=(_BATCH_T, _D)) for _ in range(BATCH_IMAGES)]
 
     ms_serial = _median_ms(
-        lambda: map_chunks(_encode_chunk, images, (encoder,)), repeats)
+        lambda: map_chunks(_encode_chunk, images, (encoder,)), _BATCH_REPEATS)
     with WorkerPool(workers) as pool:
         def encode():
             return map_chunks(_encode_chunk, images, (encoder,), pool)
 
         for _ in range(_POOL_WARMUP_RUNS):
             encode()
-        ms_parallel = _median_ms(encode, repeats)
+        ms_parallel = _median_ms(encode, _BATCH_REPEATS)
     return ms_serial, ms_parallel, ms_serial / max(ms_parallel, 1e-9)
 
 
-def format_csv(rows: list[BenchRow]) -> str:
+def format_csv(rows: list[tuple]) -> str:
     lines = [",".join(CSV_FIELDS)]
-    lines.extend(",".join(row.as_csv()) for row in rows)
+    lines.extend(f"{t},{k},{d},{fwd:.3f},{bwd:.3f}" for t, k, d, fwd, bwd in rows)
     return "\n".join(lines) + "\n"

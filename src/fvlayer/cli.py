@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bench import batch_speedup, format_csv, scaling_in_t
+from .bench import BATCH_IMAGES, batch_speedup, format_csv, scaling_in_t
 from .data_io import (
     FileFormatError,
     make_synthetic_2d,
@@ -223,7 +223,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     if args.speedup:
         ms1, msn, ratio = batch_speedup(workers=args.threads, seed=args.seed)
-        print(f"bench: batch of 24 images, 1 worker {ms1:.1f} ms, "
+        print(f"bench: batch of {BATCH_IMAGES} images, 1 worker {ms1:.1f} ms, "
               f"{args.threads} workers {msn:.1f} ms, speedup {ratio:.2f}x")
     return 0
 
@@ -262,20 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="directory of .fvfs files")
     p.add_argument("--labels", required=True)
     p.add_argument("--mode", choices=[m.value for m in TrainMode],
-                   default=TrainMode.THETA_GMM_FEATURE.value)
-    p.add_argument("--k", type=_positive_int, default=32)
-    p.add_argument("--batch", type=_positive_int, default=24)
-    p.add_argument("--eta", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=10,
+                   default=TrainConfig.mode.value)
+    p.add_argument("--k", type=_positive_int, default=TrainConfig.n_components)
+    p.add_argument("--batch", type=_positive_int, default=TrainConfig.batch_size)
+    p.add_argument("--eta", type=float, default=TrainConfig.eta)
+    p.add_argument("--epochs", type=int, default=TrainConfig.joint_epochs,
                    help="joint training epochs")
-    p.add_argument("--init-epochs", type=int, default=15,
+    p.add_argument("--init-epochs", type=int, default=TrainConfig.svm_init_epochs,
                    help="SDCA epoch cap for the initial SVM fit")
-    p.add_argument("--svm-epochs", type=int, default=200,
+    p.add_argument("--svm-epochs", type=int, default=TrainConfig.svm_epochs,
                    help="SDCA epoch cap for per-epoch refits")
-    p.add_argument("--gap-tol", type=float, default=0.01)
-    p.add_argument("--subsample", type=_positive_int, default=None,
+    p.add_argument("--gap-tol", type=float, default=TrainConfig.gap_tol)
+    p.add_argument("--subsample", type=_positive_int, default=TrainConfig.subsample,
                    help="max points per image for GMM fitting")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes for encoding and gradients")
     p.add_argument("--checkpoint", required=True)
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="workers for --speedup; CSV rows are timed in one process")
     p.add_argument("--speedup", action="store_true",
-                   help="also time a 24-image batch at 1 vs --threads workers")
+                   help=f"also time a {BATCH_IMAGES}-image batch at 1 vs "
+                        "--threads workers")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_bench)

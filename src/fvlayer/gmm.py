@@ -42,9 +42,11 @@ EM_MAX_ITER = 200
 # row order. Row-wise scratch of (rows, K) or (rows, D) values walks blocks
 # of the same budget: the E-step's exponentials, k-means++ distances and
 # phase one's inversion and layer pass. So the tile size bounds memory and
-# never changes a result bit. An image stack holds at most this many
-# T * K * D values. What still grows with T is the O(T * K) or O(T * D)
-# arrays a pass returns or keeps, such as posteriors and pooled points.
+# never changes a result bit. The same budget caps an image stack at this
+# many (rows, K, D) values, so the stack's (rows, K) and (rows, D)
+# per-point arrays fit it too. What still grows with T is the O(T * K) or
+# O(T * D) arrays of one image above the budget, and those a pass keeps,
+# such as posteriors and pooled points.
 TILE_VALUES = 131072
 
 __all__ = [
@@ -322,15 +324,12 @@ def kmeans_init(
             sums[:, j] = np.bincount(assign, weights=columns[j], minlength=n_components)
         np.divide(sums, counts[:, None], out=centers)
 
-    weights = np.empty(n_components)
-    variances = np.empty((n_components, features.shape[1]))
+    # `counts` are those of `assign`, and every pass leaves each cluster a member
+    weights = counts / t
+    variances = np.empty((n_components, d))
     for k in range(n_components):
         mask = assign == k
-        weights[k] = mask.sum() / t
-        if mask.any():
-            variances[k] = np.maximum(features[mask].var(axis=0), VARIANCE_FLOOR)
-        else:
-            variances[k] = np.maximum(features.var(axis=0), VARIANCE_FLOOR)
+        variances[k] = np.maximum(features[mask].var(axis=0), VARIANCE_FLOOR)
     weights = weights / weights.sum()
     params = GmmParams(weights, centers.copy(), variances)
     params.validate()

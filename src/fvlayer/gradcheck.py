@@ -25,7 +25,7 @@ from .normalization import norm_backward, norm_forward
 from .pipeline import Encoder, _grad_chunk
 
 __all__ = [
-    "DEFAULT_STEP",
+    "STEP",
     "max_rel_error",
     "fd_jacobian",
     "random_instance",
@@ -44,25 +44,25 @@ __all__ = [
     "posterior_grad_params",
 ]
 
-DEFAULT_STEP = 1e-5
+# central-difference step, and the absolute difference below which an
+# entry passes whatever its relative error
+STEP = 1e-5
 ABS_FLOOR = 1e-9
 
 
-def max_rel_error(
-    analytic: np.ndarray, numeric: np.ndarray, abs_floor: float = ABS_FLOOR
-) -> float:
-    """Largest entry-wise relative error; differences below abs_floor pass."""
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Largest entry-wise relative error; differences below ABS_FLOOR pass."""
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
     if analytic.shape != numeric.shape:
         raise ValueError(f"shape mismatch: {analytic.shape} vs {numeric.shape}")
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
-    rel = np.where(diff <= abs_floor, 0.0, diff / np.maximum(scale, abs_floor))
+    rel = np.where(diff <= ABS_FLOOR, 0.0, diff / np.maximum(scale, ABS_FLOOR))
     return float(rel.max()) if rel.size else 0.0
 
 
-def fd_jacobian(func, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+def fd_jacobian(func, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of func at x, shape (out size, x size)."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel().copy()
@@ -70,12 +70,12 @@ def fd_jacobian(func, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     jac = np.empty((base.size, flat.size))
     for j in range(flat.size):
         saved = flat[j]
-        flat[j] = saved + step
+        flat[j] = saved + STEP
         hi = np.asarray(func(flat.reshape(x.shape)), dtype=np.float64).ravel()
-        flat[j] = saved - step
+        flat[j] = saved - STEP
         lo = np.asarray(func(flat.reshape(x.shape)), dtype=np.float64).ravel()
         flat[j] = saved
-        jac[:, j] = (hi - lo) / (2.0 * step)
+        jac[:, j] = (hi - lo) / (2.0 * STEP)
     return jac
 
 
@@ -217,11 +217,7 @@ _COL_NAMES = ("weights", "means", "variances")
 
 
 def check_fv_blocks(
-    n_components: int,
-    dim: int,
-    n_points: int,
-    seed: int,
-    step: float = DEFAULT_STEP,
+    n_components: int, dim: int, n_points: int, seed: int
 ) -> dict[str, float]:
     """All twelve encoding derivative blocks of one instance.
 
@@ -234,13 +230,11 @@ def check_fv_blocks(
 
     analytic_params = fv_jacobian_params(features, params)
     numeric_params = fd_jacobian(
-        lambda v: fv_forward(features, _unpack(v, k, d))[0], _pack(params), step
+        lambda v: fv_forward(features, _unpack(v, k, d))[0], _pack(params)
     )
     analytic_input = fv_jacobian_input(features, params)
     numeric_input = fd_jacobian(
-        lambda x: fv_forward(x.reshape(n_points, d), params)[0],
-        features.ravel(),
-        step,
+        lambda x: fv_forward(x.reshape(n_points, d), params)[0], features.ravel()
     )
 
     row_slices = (slice(0, k), slice(k, k + k * d), slice(k + k * d, k + 2 * k * d))
@@ -258,11 +252,7 @@ def check_fv_blocks(
 
 
 def check_posterior_blocks(
-    n_components: int,
-    dim: int,
-    n_points: int,
-    seed: int,
-    step: float = DEFAULT_STEP,
+    n_components: int, dim: int, n_points: int, seed: int
 ) -> dict[str, float]:
     """Posterior derivatives against inputs and all three parameter groups."""
     features, params = random_instance(n_components, dim, n_points, seed + 1000)
@@ -271,7 +261,7 @@ def check_posterior_blocks(
     d_w, d_mu, d_var = posterior_grad_params(features, params)
 
     numeric = fd_jacobian(
-        lambda x: posteriors(x.reshape(t, d), params), features.ravel(), step
+        lambda x: posteriors(x.reshape(t, d), params), features.ravel()
     ).reshape(t, k, t, d)
     # point t only moves its own posterior row
     analytic_full = np.zeros((t, k, t, d))
@@ -280,7 +270,7 @@ def check_posterior_blocks(
     err_input = max_rel_error(analytic_full, numeric)
 
     numeric_p = fd_jacobian(
-        lambda v: posteriors(features, _unpack(v, k, d)), _pack(params), step
+        lambda v: posteriors(features, _unpack(v, k, d)), _pack(params)
     ).reshape(t, k, k + 2 * k * d)
     err_w = max_rel_error(d_w, numeric_p[:, :, :k].reshape(t, k, k))
     err_mu = max_rel_error(
@@ -297,7 +287,7 @@ def check_posterior_blocks(
     }
 
 
-def check_norm_block(dim: int, seed: int, step: float = DEFAULT_STEP) -> float:
+def check_norm_block(dim: int, seed: int) -> float:
     """Backward of the power + L2 normalization against central differences.
 
     The test vector is bounded away from zero since the square root is not
@@ -305,14 +295,12 @@ def check_norm_block(dim: int, seed: int, step: float = DEFAULT_STEP) -> float:
     """
     rng = np.random.default_rng(seed + 2000)
     vector = rng.uniform(0.1, 1.5, size=dim) * rng.choice([-1.0, 1.0], size=dim)
-    numeric = fd_jacobian(norm_forward, vector, step)  # (dim, dim)
+    numeric = fd_jacobian(norm_forward, vector)  # (dim, dim)
     analytic = _onehot_rows(lambda upstream: norm_backward(vector, upstream), dim)
     return max_rel_error(analytic, numeric)
 
 
-def check_reparam_blocks(
-    n_components: int, dim: int, seed: int, step: float = DEFAULT_STEP
-) -> dict[str, float]:
+def check_reparam_blocks(n_components: int, dim: int, seed: int) -> dict[str, float]:
     rng = np.random.default_rng(seed + 3000)
     raw = RawGmmParams(
         nu=rng.normal(0.0, 1.0, size=n_components),
@@ -329,11 +317,11 @@ def check_reparam_blocks(
         ).variances.ravel()
 
     k, d = n_components, dim
-    numeric_nu = fd_jacobian(weights_of, raw.nu, step)  # (K, K)
+    numeric_nu = fd_jacobian(weights_of, raw.nu)  # (K, K)
     analytic_nu = _onehot_rows(lambda u: reparam_backward(raw, u, np.zeros((k, d)))[0], k)
     err_nu = max_rel_error(analytic_nu, numeric_nu)
 
-    numeric_zeta = fd_jacobian(variances_of, raw.zeta.ravel(), step)
+    numeric_zeta = fd_jacobian(variances_of, raw.zeta.ravel())
     analytic_zeta = _onehot_rows(
         lambda u: reparam_backward(raw, np.zeros(k), u.reshape(k, d))[1], k * d
     )
@@ -341,9 +329,7 @@ def check_reparam_blocks(
     return {"reparam/nu": err_nu, "reparam/zeta": err_zeta}
 
 
-def check_layer_blocks(
-    dim: int, n_points: int, seed: int, step: float = DEFAULT_STEP
-) -> dict[str, float]:
+def check_layer_blocks(dim: int, n_points: int, seed: int) -> dict[str, float]:
     rng = np.random.default_rng(seed + 4000)
     params = xavier_init(dim, seed)
     params.bias = rng.normal(0.0, 0.2, size=dim)
@@ -358,15 +344,13 @@ def check_layer_blocks(
     num_w = fd_jacobian(
         lambda w: np.array([loss_at(w.reshape(dim, dim), params.bias, inputs)]),
         params.weight.ravel(),
-        step,
     ).reshape(dim, dim)
     num_b = fd_jacobian(
-        lambda b: np.array([loss_at(params.weight, b, inputs)]), params.bias, step
+        lambda b: np.array([loss_at(params.weight, b, inputs)]), params.bias
     ).ravel()
     num_x = fd_jacobian(
         lambda x: np.array([loss_at(params.weight, params.bias, x.reshape(n_points, dim))]),
         inputs.ravel(),
-        step,
     ).reshape(n_points, dim)
     return {
         "layer/weight": max_rel_error(d_weight, num_w),
@@ -375,15 +359,9 @@ def check_layer_blocks(
     }
 
 
-def check_end_to_end(
-    seed: int,
-    n_components: int = 2,
-    dim: int = 2,
-    n_points: int = 4,
-    n_images: int = 2,
-    step: float = DEFAULT_STEP,
-) -> tuple[float, float, float]:
-    """Whole-chain gradient check on a micro configuration.
+def check_end_to_end(seed: int) -> tuple[float, float, float]:
+    """Whole-chain gradient check on a micro configuration: K = D = 2 and
+    two images of four points each, so the trainer stacks them.
 
     Scalar loss sum_i -y_i theta^T phi(F(tanh(W x~_i + b))) differentiated
     against every trainable coordinate (nu, zeta, means, weight, bias) by
@@ -396,7 +374,7 @@ def check_end_to_end(
     relative gap), so a report can show drift below the floor.
     """
     rng = np.random.default_rng(seed + 5000)
-    k, d = n_components, dim
+    k, d, n_points, n_images = 2, 2, 4, 2
     raw = RawGmmParams(
         nu=rng.normal(0.0, 0.6, size=k),
         zeta=rng.normal(-0.8, 0.4, size=(k, d)),
@@ -422,7 +400,7 @@ def check_end_to_end(
     packed = np.concatenate(
         [raw.nu, raw.zeta.ravel(), raw.means.ravel(), layer.weight.ravel(), layer.bias]
     )
-    numeric = fd_jacobian(loss_from, packed, step).ravel()
+    numeric = fd_jacobian(loss_from, packed).ravel()
 
     # one class whose SVM bias is zero: the trainer's upstream is -y * theta
     entries = _grad_chunk(
@@ -444,7 +422,7 @@ def battery_instances() -> list[tuple[int, int, int]]:
     return [(k, d, t) for k in (1, 2, 3) for d in (1, 2, 3) for t in (1, 4, 8)]
 
 
-def run_battery(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, float]:
+def run_battery(seed: int = 0) -> dict[str, float]:
     """Worst relative error per derivative block over the standard grid."""
     worst: dict[str, float] = {}
 
@@ -454,10 +432,10 @@ def run_battery(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, float]:
 
     for index, (k, d, t) in enumerate(battery_instances()):
         inst_seed = seed + 31 * index
-        fold(check_fv_blocks(k, d, t, inst_seed, step))
-        fold(check_posterior_blocks(k, d, t, inst_seed, step))
-        fold({"norm/input": check_norm_block(fv_length(k, d), inst_seed, step)})
-        fold(check_reparam_blocks(k, d, inst_seed, step))
-        fold(check_layer_blocks(d, t, inst_seed, step))
+        fold(check_fv_blocks(k, d, t, inst_seed))
+        fold(check_posterior_blocks(k, d, t, inst_seed))
+        fold({"norm/input": check_norm_block(fv_length(k, d), inst_seed)})
+        fold(check_reparam_blocks(k, d, inst_seed))
+        fold(check_layer_blocks(d, t, inst_seed))
     fold({"end_to_end": check_end_to_end(seed)[0]})
     return worst

@@ -179,25 +179,20 @@ class Encoder:
         return d_w, d_mu, d_var, d_weight, d_bias, d_in.reshape(b, -1, d_in.shape[1])
 
 
-# An image stack holds at most this many points, which bounds its O(T * K)
-# and O(T * D) per-point arrays. Stacking is bit for bit, so it bounds
-# memory only.
-CHUNK_ROWS = 1024
-
-
 def _stacks(images: list[np.ndarray], unit: int) -> list[list[int]]:
     """Indices of `images` grouped by equal point count T (groups in order
     of first appearance, indices ascending), in stacks of at most
     gmm.TILE_VALUES // (T * unit) images, unit being K * D, so a stack's
-    (rows, K, D) values fit in one tile, and of at most CHUNK_ROWS points.
-    An image above that budget is a stack of its own, tiled by row inside
+    (rows, K, D) values fit in one tile. That one budget also bounds the
+    stack's per-point arrays, whose (rows, K) or (rows, D) values are
+    fewer. An image above it is a stack of its own, tiled by row inside
     the kernels. No stack size changes a result bit."""
     groups: dict[int, list[int]] = {}
     for index, image in enumerate(images):
         groups.setdefault(image.shape[0], []).append(index)
     out = []
     for t, indices in groups.items():
-        size = max(1, min(gmm.TILE_VALUES // (t * unit), CHUNK_ROWS // t))
+        size = max(1, gmm.TILE_VALUES // (t * unit))
         out.extend(indices[s : s + size] for s in range(0, len(indices), size))
     return out
 
@@ -445,12 +440,16 @@ def joint_step(
     losses = [entry["loss"] for entry in results]
     state.starved_events += sum(entry["starved"] for entry in results)
     state.batches_done += 1
-    if not mode.updates_gmm and not mode.updates_layer:
-        return float(np.mean(losses))
+
+    # each trained gradient key and the array its step updates
+    targets: dict[str, np.ndarray] = {}
+    if mode.updates_gmm:
+        targets.update(d_nu=state.raw.nu, d_zeta=state.raw.zeta, d_means=state.raw.means)
+    if mode.updates_layer:
+        targets.update(d_weight=state.layer.weight, d_bias=state.layer.bias)
 
     blocks: dict[str, np.ndarray] = {}
-    keys = [k for k in ("d_nu", "d_zeta", "d_means", "d_weight", "d_bias") if k in results[0]]
-    for key in keys:
+    for key in targets:
         total = np.zeros_like(results[0][key])
         for entry in results:  # ascending batch order
             total += entry[key]
@@ -463,17 +462,8 @@ def joint_step(
             f"non-finite gradient in blocks {bad} at epoch {state.epoch} "
             f"batch {state.batches_done}; block norms: {norms}"
         )
-
-    eta = config.eta
-    for key in keys:
-        blocks[key] = _clip_block(blocks[key], GRAD_CLIP)
-    if mode.updates_gmm:
-        state.raw.nu -= eta * blocks["d_nu"]
-        state.raw.zeta -= eta * blocks["d_zeta"]
-        state.raw.means -= eta * blocks["d_means"]
-    if mode.updates_layer:
-        state.layer.weight -= eta * blocks["d_weight"]
-        state.layer.bias -= eta * blocks["d_bias"]
+    for key, param in targets.items():
+        param -= config.eta * _clip_block(blocks[key], GRAD_CLIP)
     return float(np.mean(losses))
 
 
@@ -597,11 +587,7 @@ class ShiftDemoResult:
 
 
 def shift_demo(
-    dataset: Dataset,
-    steps: int = 60,
-    eta: float = 0.5,
-    n_components: int = 2,
-    seed: int = 0,
+    dataset: Dataset, steps: int, eta: float, n_components: int, seed: int
 ) -> ShiftDemoResult:
     """Move raw points down the classifier's input gradient.
 
@@ -626,11 +612,7 @@ def shift_demo(
             encodings[indices] = encoded
             stacks.append((indices, cache))
         svm = sdca_train(
-            encodings,
-            labels,
-            max_epochs=200,
-            seed=seed_for(seed, _TAG_SVM, 0, step),
-            init_alpha=alpha,
+            encodings, labels, seed=seed_for(seed, _TAG_SVM, 0, step), init_alpha=alpha
         )
         alpha = svm.alpha
         scores = decision_scores(svm, encodings)

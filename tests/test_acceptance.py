@@ -186,8 +186,7 @@ def test_criterion_07_mode_ordering_on_held_out_split(capsys):
 def test_criterion_08_end_to_end_gradient(capsys):
     # the 2 equal-size images go through the trainer's batched _grad_chunk
     # as one stack; the finite differences encode them one at a time
-    err, gap_abs, gap_rel = check_end_to_end(seed=0, n_components=2, dim=2,
-                                             n_points=4, n_images=2)
+    err, gap_abs, gap_rel = check_end_to_end(seed=0)
     assert err <= 1e-5
     report(capsys, f"[criterion 8] PASS: composed-pipeline gradient vs "
                    f"finite differences, max rel err {err:.2e} (unfloored: "
@@ -197,8 +196,7 @@ def test_criterion_08_end_to_end_gradient(capsys):
 def test_criterion_09a_backward_scales_linearly_in_t(capsys):
     # T, 2T and 4T timed in turn over 21 rounds; each factor is the median
     # of its per-round ratios, so one slow spell cannot move it alone
-    factors = interleaved_doubling_factors([4096, 8192, 16384], k=16, d=32,
-                                           rounds=21)
+    factors = interleaved_doubling_factors([4096, 8192, 16384], rounds=21)
     for factor in factors:
         assert 1.5 <= factor <= 2.5, f"doubling factor {factor:.3f}"
     report(capsys, f"[criterion 9a] PASS: backward T-doubling factors "
@@ -207,8 +205,7 @@ def test_criterion_09a_backward_scales_linearly_in_t(capsys):
 
 def test_criterion_09b_batch_parallel_speedup(capsys):
     cores = len(os.sched_getaffinity(0))
-    ms1, ms4, ratio = batch_speedup(n_images=24, t=2000, k=16, d=32,
-                                    workers=4, seed=0)
+    ms1, ms4, ratio = batch_speedup(workers=4, seed=0)
     if cores < 4:
         report(capsys, f"[criterion 9b] SKIP: host exposes {cores} CPU "
                        f"core(s); 4-worker speedup measured {ratio:.2f}x "

@@ -37,6 +37,7 @@ CASES = {
     "T=1": ([1] * 9, 3, 2),
     "K=D=1": ([40] * 11, 1, 1),
     "multi-tile image": ([1000] * 3, 16, 32),
+    # above 1,024 points per image; the id predates the one stack budget
     "T>CHUNK_ROWS": ([1100] * 7, 2, 3),
     "mixed T": ([32, 7, 32, 1, 7, 32, 50, 1, 32, 7], 3, 2),
 }
@@ -135,6 +136,13 @@ def test_stacks_group_equal_t_in_stable_order(monkeypatch):
     assert _stacks(images, 2) == [[0, 2], [3, 6], [1], [4], [5]]
     monkeypatch.setattr(gmm, "TILE_VALUES", 1)  # above budget: one at a time
     assert _stacks(images, 2) == [[i] for i in (0, 2, 3, 6, 1, 4, 5)]
+
+
+def test_one_tile_budget_bounds_small_image_stacks():
+    # 200 images of T = 32 at K = D = 2 hold 25,600 (rows, K, D) values, under
+    # TILE_VALUES, and their 6,400 rows need no cap of their own
+    images = [np.zeros((32, 2)) for _ in range(200)]
+    assert _stacks(images, 2 * 2) == [list(range(200))]
 
 
 @pytest.mark.parametrize("case", ["24x(32,2,2)", "mixed T", "T>CHUNK_ROWS"])

@@ -228,15 +228,18 @@ def test_bench_emits_csv_grid(capsys):
                        "--d", "4,8", "--repeats", "1")
     assert code == 0
     lines = [l for l in out.splitlines() if "," in l and not l.startswith("config")]
-    assert lines[0] == "t,k,d,threads,fwd_ms,bwd_ms"
+    assert lines[0] == "t,k,d,fwd_ms,bwd_ms"
     assert len(lines) == 1 + 2 * 2  # header + |t| * |d| rows
-    assert lines[1].startswith("32,2,4,1,")
+    assert lines[1].startswith("32,2,4,")
 
 
 def test_bench_rows_keep_the_thread_count_they_were_timed_with(capsys):
-    # --threads sets the workers of --speedup only; the rows run in one process
+    # --threads sets the workers of --speedup only; the rows run in one process,
+    # so they carry no thread count and keep the same five columns
     code, out, _ = run(capsys, "bench", "--t", "32", "--k", "2", "--d", "2",
                        "--repeats", "1", "--threads", "3")
     assert code == 0
     lines = [l for l in out.splitlines() if "," in l and not l.startswith("config")]
-    assert lines[1].startswith("32,2,2,1,")
+    assert lines[0] == "t,k,d,fwd_ms,bwd_ms"
+    assert lines[1].startswith("32,2,2,")
+    assert all(len(line.split(",")) == 5 for line in lines)

@@ -7,7 +7,6 @@ import pytest
 
 import fvlayer.fisher as fisher
 import fvlayer.gmm as gmm
-import fvlayer.pipeline as pipeline
 from fvlayer.fisher import (
     fv_backward,
     fv_backward_input,
@@ -190,16 +189,10 @@ def test_backward_independent_of_chunk_size(monkeypatch):
         np.testing.assert_array_equal(b, a)
     # the E-step walks tiles of the same budget, two rows each here
     np.testing.assert_array_equal(posteriors(feats, params), gamma)
-    # the stack cap bounds memory only: no kernel groups its sums by it
-    monkeypatch.setattr(pipeline, "CHUNK_ROWS", 7)
-    chunked = fv_backward(feats, params, gamma, upstream)
-    for a, b in zip(base, chunked):
-        np.testing.assert_array_equal(b, a)
-    np.testing.assert_array_equal(posteriors(feats, params), gamma)
-    chunked_fit = em_fit(feats, params)
-    np.testing.assert_array_equal(chunked_fit.weights, base_fit.weights)
-    np.testing.assert_array_equal(chunked_fit.means, base_fit.means)
-    np.testing.assert_array_equal(chunked_fit.variances, base_fit.variances)
+    tiled_fit = em_fit(feats, params)
+    np.testing.assert_array_equal(tiled_fit.weights, base_fit.weights)
+    np.testing.assert_array_equal(tiled_fit.means, base_fit.means)
+    np.testing.assert_array_equal(tiled_fit.variances, base_fit.variances)
 
 
 # Frozen copies of the two backward kernels that fv_backward replaced. They

