@@ -37,6 +37,7 @@ __all__ = [
     "CheckpointData",
     "write_features",
     "read_features",
+    "non_finite",
     "pca_fit",
     "pca_apply",
     "write_pca",
@@ -145,13 +146,20 @@ def read_features(path: str | Path) -> np.ndarray:
     d = reader.u32("dimension")
     values = reader.f64(t * d, f"{t}x{d} payload").reshape(t, d)
     reader.done()
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, col = np.unravel_index(int(np.argmin(finite)), values.shape)
-        raise FileFormatError(
-            f"{path}: non-finite value {values[row, col]} at row {row}, column {col}"
-        )
+    problem = non_finite(values)
+    if problem:
+        raise FileFormatError(f"{path}: {problem}")
     return values
+
+
+def non_finite(values: np.ndarray) -> str | None:
+    """Where the first non-finite entry of a 2-D array is, as
+    "non-finite value v at row r, column c"; None when every entry is finite."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    row, col = np.unravel_index(int(np.argmin(finite)), values.shape)
+    return f"non-finite value {values[row, col]} at row {row}, column {col}"
 
 
 @dataclass

@@ -223,7 +223,9 @@ def _backward(features, params, gamma, upstream, want_input: bool, n_images) -> 
         beta = beta_buf[:, :n]
         gt = g_buf[:, 1 : n + 1]
         gt[...] = g[:, lo:hi]
-        np.subtract(x[:, lo:hi, None, :], mu, out=alpha)
+        # x - mu, subtracted over contiguous K * D values as in gmm
+        np.copyto(alpha, x[:, lo:hi, None, :])
+        alpha -= mu
         if want_input:
             np.divide(alpha, var, out=beta)
         np.divide(alpha, sigma, out=alpha)

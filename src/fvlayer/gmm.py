@@ -41,9 +41,9 @@ EM_MAX_ITER = 200
 # independent, and the encoder's backward, whose tiles carry every sum in
 # row order. Row-wise scratch of (rows, K) or (rows, D) values walks blocks
 # of the same budget: the E-step's exponentials, k-means++ distances and
-# phase one's inversion and layer pass. So the tile size bounds memory and
-# never changes a result bit. The same budget caps an image stack at this
-# many (rows, K, D) values, so the stack's (rows, K) and (rows, D)
+# phase one's inversion and layer passes. So the tile size bounds memory
+# and never changes a result bit. The same budget caps an image stack at
+# this many (rows, K, D) values, so the stack's (rows, K) and (rows, D)
 # per-point arrays fit it too. What still grows with T is the O(T * K) or
 # O(T * D) arrays of one image above the budget, and those a pass keeps,
 # such as posteriors and pooled points.
@@ -182,7 +182,10 @@ def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
     for lo in range(0, t, tile):
         rows = features[lo : lo + tile]
         diff = buf[: rows.shape[0]]
-        np.subtract(rows[:, None, :], mu, out=diff)
+        # the same subtractions as the broadcast np.subtract(rows[:, None, :],
+        # mu), but over contiguous K * D values rather than D at a time
+        np.copyto(diff, rows[:, None, :])
+        diff -= mu
         diff *= diff
         out[lo : lo + tile] = const - 0.5 * np.einsum("tkd,kd->tk", diff, inv_var)
     return out
@@ -302,8 +305,7 @@ def kmeans_init(
     d2 = np.empty((t, n_components))  # reused by every pass
     for _ in range(100):
         # scaling by -2 is exact, so this is |x|^2 - 2 x.c + |c|^2 bit for bit
-        np.matmul(features, centers.T, out=d2)
-        d2 *= -2.0
+        np.matmul(features, -2.0 * centers.T, out=d2)
         d2 += row_norms[:, None]
         d2 += np.sum(centers**2, axis=1)[None, :]
         new_assign = np.argmin(d2, axis=1)

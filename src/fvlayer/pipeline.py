@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gmm
-from .data_io import CheckpointData, Dataset, subsample
+from .data_io import CheckpointData, Dataset, non_finite, subsample
 from .feature_layer import (
     FeatureLayerParams,
     clamp_features,
@@ -343,28 +343,35 @@ def phase1_init(
 
     prepared = []
     for index, item in enumerate(dataset.items):
-        features = item.features
+        features = np.asarray(item.features, dtype=np.float64)
+        problem = non_finite(features)
+        if problem:
+            raise ValueError(f"image {item.image_id}: {problem}")
         if config.subsample is not None:
             features = subsample(
                 features, config.subsample, seed_for(seed, _TAG_SUBSAMPLE, index)
             )
-        prepared.append(np.asarray(features, dtype=np.float64))
+        prepared.append(features)
 
     dim = prepared[0].shape[1]
     layer0 = xavier_init(dim, seed_for(seed, _TAG_LAYER))
-    # `rows` are the layer inputs, inverted in place; `pooled` are the points
-    # the mixture is fitted on. Those must be the layer's own outputs: they
+    # The mixture is fitted on the layer's own outputs (`pooled`): they
     # equal the clamped raw features only to rounding, not bit for bit.
-    # Row blocks bound the scratch; each row has the bits of its image alone,
-    # so no block size changes a result bit.
-    rows = np.vstack(prepared)
-    pooled = np.empty_like(rows)
-    block = gmm.tile_rows(len(rows), dim)
-    for lo in range(0, len(rows), block):
-        rows[lo : lo + block] = invert_features(rows[lo : lo + block], layer0)
-        pooled[lo : lo + block] = layer_forward(rows[lo : lo + block], layer0)
+    # They are made and fitted before the layer inputs (`rows`) exist, so
+    # the fit's scratch sits beside one (N, D) array; `rows` are inverted
+    # again after it. Row blocks bound the passes' scratch. Each row has the
+    # bits of its image alone, so neither the blocks nor the second
+    # inversion changes a result bit.
+    pooled = np.vstack(prepared)
+    block = gmm.tile_rows(len(pooled), dim)
+    for lo in range(0, len(pooled), block):
+        part = pooled[lo : lo + block]
+        part[...] = layer_forward(invert_features(part, layer0), layer0)
     fitted = _fit_mixture(pooled, config.n_components, seed)
     del pooled
+    rows = np.vstack(prepared)
+    for lo in range(0, len(rows), block):
+        rows[lo : lo + block] = invert_features(rows[lo : lo + block], layer0)
     ends = np.cumsum([len(f) for f in prepared])[:-1]
 
     state = TrainState(

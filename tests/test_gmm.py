@@ -80,6 +80,20 @@ def test_log_density_matrix_matches_mpmath():
                     1e-12 * max(1.0, abs(float(expected)))
 
 
+def test_log_density_matrix_is_the_broadcast_form_bit_for_bit(monkeypatch):
+    # T = 50 rows in tiles of 16: four tiles, the last one partial; the
+    # offset puts every x - mu far from zero
+    rng = np.random.default_rng(8)
+    params = random_params(3, 4, rng)
+    params.means += 1e3
+    x = rng.normal(size=(50, 4)) + 1e3
+    monkeypatch.setattr(gmm, "TILE_VALUES", 16 * 3 * 4)
+    const = -0.5 * (np.log(2.0 * np.pi) + np.log(params.variances)).sum(axis=1)
+    sq = (x[:, None, :] - params.means) ** 2
+    want = const - 0.5 * np.einsum("tkd,kd->tk", sq, 1.0 / params.variances)
+    np.testing.assert_array_equal(gmm._log_density_matrix(x, params), want)
+
+
 # ---------------------------------------------------------- posteriors
 
 

@@ -52,7 +52,7 @@ def dataset():
 # -------------------------------------------------------------- phase 1
 
 
-def test_phase1_inverts_all_images_in_one_call(dataset, monkeypatch):
+def test_phase1_inverts_all_rows_in_one_call_per_pass(dataset, monkeypatch):
     calls = []
 
     def counted(features, params):
@@ -61,11 +61,12 @@ def test_phase1_inverts_all_images_in_one_call(dataset, monkeypatch):
 
     monkeypatch.setattr(pipeline, "invert_features", counted)
     # images of 20 to 24 points, all within one row block: one solve over
-    # all rows, split back
+    # all rows for the points the mixture is fitted on, then one for the
+    # layer inputs, split back
     items = [DatasetItem(item.image_id, item.features[: 20 + i % 5], item.labels)
              for i, item in enumerate(dataset.items)]
     state = phase1_init(Dataset(items), tiny_config())
-    assert calls == [(sum(len(item.features) for item in items), 2)]
+    assert calls == [(sum(len(item.features) for item in items), 2)] * 2
     for inputs, item in zip(state.inputs, items):
         np.testing.assert_array_equal(
             inputs, invert_features(item.features, state.init_layer))
@@ -134,9 +135,9 @@ def test_phase1_blocks_are_bit_identical_to_one_pass(monkeypatch):
 
 
 def test_phase1_memory_bounded_by_pooled_points():
-    # train-mid shapes: 48 images of T = 1000, D = 32, K = 16. Phase one
-    # keeps the layer inputs and the pooled points, plus one work array of
-    # (T, D) or (T, K) values at a time.
+    # train-mid shapes: 48 images of T = 1000, D = 32, K = 16. While the
+    # mixture is fitted, phase one keeps the pooled points plus the fit's
+    # work arrays; the layer inputs are made only after the fit.
     data = blob_dataset([1000] * 48, dim=32, seed=9)
     pooled_bytes = 48 * 1000 * 32 * 8
     config = tiny_config(n_components=16, svm_init_epochs=2)
@@ -146,12 +147,27 @@ def test_phase1_memory_bounded_by_pooled_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.0 * pooled_bytes
+    assert peak < 3.0 * pooled_bytes
 
 
 def test_phase1_subsample_limits_gmm_pool(dataset):
     state = phase1_init(dataset, tiny_config(subsample=5))
     assert all(x.shape[0] == 5 for x in state.inputs)
+
+
+@pytest.mark.parametrize("subsample", [None, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_phase1_rejects_non_finite_features_by_image_and_row(value, subsample):
+    # checked before subsampling, so the row is the image's own; an inf
+    # would otherwise be clamped and train silently
+    data = make_synthetic_2d(10, seed=7)
+    bad = data.items[3]
+    bad.features[5, 1] = value
+    with pytest.raises(
+        ValueError,
+        match=rf"image {bad.image_id}: non-finite value {value} at row 5, column 1",
+    ):
+        phase1_init(data, tiny_config(subsample=subsample))
 
 
 def test_phase1_rejects_empty_dataset():
