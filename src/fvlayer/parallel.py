@@ -1,10 +1,16 @@
 """Deterministic batch parallelism and seed derivation.
 
-Work is split into contiguous chunks of items, one chunk per worker process,
-and the per-item results are concatenated back in submission order. Every
-item's computation is independent of which worker ran it, so results are
-identical for any worker count if every process runs BLAS with the same
-thread count: BLAS products round differently with 1 and 2 threads.
+Work is split into contiguous tasks of items, at least one per worker,
+each holding at most gmm.TILE_VALUES values of item arrays unless it is a
+single item above that budget. The per-item results are concatenated back
+in submission order. Every item's computation is independent of which task
+or worker ran it, so results are identical for any worker count if every
+process runs BLAS with the same thread count: BLAS products round
+differently with 1 and 2 threads.
+
+A call submits all its tasks at once, but the executor pickles a task only
+when it moves into the call queue, which holds workers + 1 tasks. So the
+parent holds a few budgets of pickled items in flight, not the whole input.
 
 A `WorkerPool` starts its processes once and serves every `map_chunks` call
 until it is closed; `pipeline.train` holds one for the whole run. Workers
@@ -31,6 +37,8 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 
 import numpy as np
+
+from . import gmm
 
 __all__ = ["WorkerPool", "map_chunks", "seed_for"]
 
@@ -113,23 +121,48 @@ class WorkerPool:
 
 
 def map_chunks(fn, items: list, shared: tuple, pool: WorkerPool | None = None) -> list:
-    """Apply fn(chunk, *shared) over contiguous chunks; flatten in order.
+    """Apply fn(task, *shared) over contiguous tasks of items; flatten in order.
 
-    fn must return one result per chunk item. Without a pool of two or more
-    workers the call runs inline. Chunk boundaries never affect per-item
-    results, only scheduling.
+    fn must return one result per task item. Without a pool of two or more
+    workers the call runs inline, as one task. Otherwise see `_task_bounds`
+    for how items are cut; if a task raises, the tasks not yet started are
+    cancelled and the error is re-raised. Task boundaries never affect
+    per-item results, only scheduling and the parent's memory.
     """
     if pool is None or pool._executor is None or len(items) <= 1:
         return fn(items, *shared)
-    parts = np.array_split(np.arange(len(items)), min(pool.workers, len(items)))
     futures = [
-        pool._executor.submit(fn, [items[i] for i in part], *shared)
-        for part in parts
+        pool._executor.submit(fn, items[lo:hi], *shared)
+        for lo, hi in _task_bounds(items, pool.workers)
     ]
     out: list = []
-    for future in futures:
-        out.extend(future.result())
+    try:
+        for future in futures:
+            out.extend(future.result())
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
     return out
+
+
+def _task_bounds(items: list, workers: int) -> list[tuple[int, int]]:
+    """(start, stop) of each task: the items split as evenly as they go into
+    min(workers, len(items)) parts, each part cut before an item that would
+    take its task past gmm.TILE_VALUES values of item arrays. An item is an
+    array or a tuple of arrays; one above the budget is a task of its own."""
+    starts = []
+    for part in np.array_split(np.arange(len(items)), min(workers, len(items))):
+        values = 0
+        for index in part.tolist():
+            item = items[index]
+            size = sum(map(np.size, item)) if isinstance(item, tuple) else np.size(item)
+            if index == part[0] or values + size > gmm.TILE_VALUES:
+                starts.append(index)
+                values = 0
+            values += size
+    bounds = starts + [len(items)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def seed_for(root: int, *tags: int) -> int:

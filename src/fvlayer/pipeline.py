@@ -10,6 +10,7 @@ equal-size images (see `_stacks`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -555,10 +556,24 @@ def _checkpoint_encoder(checkpoint: CheckpointData) -> Encoder:
     return Encoder(reparam_forward(checkpoint.raw), checkpoint.layer)
 
 
+def _non_finite_encoding(name: str, features: np.ndarray) -> ValueError:
+    """The error for an image whose encoding is not finite, naming its first
+    non-finite feature if it has one."""
+    problem = non_finite(np.asarray(features))
+    return ValueError(f"{name} encodes to non-finite values"
+                      + (f": {problem} of its features" if problem else ""))
+
+
 def checkpoint_encode(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
-    """Encode one image's raw features with a loaded checkpoint."""
+    """Encode one image's raw features with a loaded checkpoint; raises a
+    ValueError if the encoding is not finite."""
     x = _checkpoint_inputs(checkpoint, features)
-    return _checkpoint_encoder(checkpoint).forward(x[None])[0][0]
+    encoding = _checkpoint_encoder(checkpoint).forward(x[None])[0][0]
+    # the squared norm of an L2-normalized vector is at most 1 + rounding
+    # when every entry is finite, and NaN otherwise
+    if not math.isfinite(encoding.dot(encoding)):
+        raise _non_finite_encoding("the image", features)
+    return encoding
 
 
 def evaluate_checkpoint(
@@ -570,6 +585,10 @@ def evaluate_checkpoint(
         partial(_checkpoint_inputs, checkpoint),
     )
     encodings = np.stack([encoding for encoding, _ in encoded])
+    finite = np.isfinite(np.einsum("ij,ij->i", encodings, encodings))  # as above
+    if not finite.all():
+        bad = dataset.items[int(np.argmin(finite))]
+        raise _non_finite_encoding(f"image {bad.image_id}", bad.features)
     labels = dataset.label_matrix()
     reports = []
     for class_index, theta in enumerate(checkpoint.thetas):

@@ -4,6 +4,8 @@ found, and no process left behind."""
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import Future
 from multiprocessing import resource_tracker
 from pathlib import Path
 
@@ -15,8 +17,8 @@ import fvlayer.pipeline as pipeline
 from fvlayer.data_io import make_synthetic_2d
 from fvlayer.feature_layer import xavier_init
 from fvlayer.fisher import fv_length
-from fvlayer.gmm import GmmParams, raw_from_params
-from fvlayer.parallel import WorkerPool, map_chunks
+from fvlayer.gmm import TILE_VALUES, GmmParams, raw_from_params
+from fvlayer.parallel import WorkerPool, _task_bounds, map_chunks
 from fvlayer.pipeline import Encoder, TrainConfig, TrainMode, _encode_chunk, _grad_chunk
 
 TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
@@ -77,6 +79,105 @@ def test_pool_results_equal_inline_chunks():
         # fewer items than workers: one chunk per item, in order
         _assert_equal_entries(map_chunks(_encode_chunk, images[:2], (encoder,), pool),
                               _encode_chunk(images[:2], encoder))
+
+
+class _RecordingExecutor:
+    """Runs each submitted task at once in this process and keeps it."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, task, *shared):
+        self.tasks.append(task)
+        future = Future()
+        future.set_result(fn(task, *shared))
+        return future
+
+
+class _FailingExecutor:
+    """The first task fails; every later one stays queued, never started."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn, task, *shared):
+        future = Future()
+        if not self.futures:
+            future.set_exception(ZeroDivisionError("task 0 failed"))
+        self.futures.append(future)
+        return future
+
+
+def _stub_pool(workers: int, executor) -> WorkerPool:
+    pool = WorkerPool(1)  # no process
+    pool.workers, pool._executor = workers, executor
+    return pool
+
+
+def _values(item) -> int:
+    return sum(map(np.size, item)) if isinstance(item, tuple) else np.size(item)
+
+
+# (workers, point counts of the D = 2 images): small images, one image above
+# the budget of TILE_VALUES values, and fewer images than workers
+TASK_CASES = {
+    "mixed sizes": (2, [5, 30000, 40000, 1, 70000, 20000, 20000, 30000, 7, 7]),
+    "over budget first": (3, [66000, 3, 3, 40000, 40000, 40000, 2]),
+    "small only": (3, [32, 7, 32, 1, 7]),
+    "fewer than workers": (3, [9, 70000]),
+}
+
+
+@pytest.mark.parametrize("workers, ts", TASK_CASES.values(), ids=TASK_CASES.keys())
+def test_tasks_are_contiguous_within_budget_and_one_per_worker_at_least(workers, ts):
+    rng = np.random.default_rng(len(ts))
+    params = GmmParams(np.array([0.3, 0.7]), rng.normal(size=(2, 2)),
+                       rng.uniform(0.3, 2.0, size=(2, 2)))
+    encoder = Encoder(params, xavier_init(2, 5))
+    images = [rng.normal(0.0, 0.8, size=(t, 2)) for t in ts]
+    executor = _RecordingExecutor()
+    got = map_chunks(_encode_chunk, images, (encoder,), _stub_pool(workers, executor))
+    tasks = executor.tasks
+    # contiguous and in item order: the tasks laid end to end are the items
+    assert [id(x) for task in tasks for x in task] == [id(x) for x in images]
+    for task in tasks:
+        assert len(task) == 1 or sum(map(_values, task)) <= TILE_VALUES
+    assert len(tasks) >= min(workers, len(images))
+    _assert_equal_entries(got, _encode_chunk(images, encoder))
+
+
+def test_a_train_mid_retrain_ships_twelve_tasks_and_a_batch_two():
+    images = [np.broadcast_to(0.0, (1000, 32))] * 48
+    assert _task_bounds(images, 2) == [(lo, lo + 4) for lo in range(0, 48, 4)]
+    batch = [(image, np.ones(2)) for image in images[:8]]
+    assert _task_bounds(batch, 2) == [(0, 4), (4, 8)]
+
+
+def test_a_failed_task_cancels_the_queued_ones():
+    executor = _FailingExecutor()
+    images = [np.zeros((40000, 2))] * 10
+    with pytest.raises(ZeroDivisionError, match="task 0 failed"):
+        map_chunks(_encode_chunk, images, (None,), _stub_pool(2, executor))
+    assert len(executor.futures) == 10  # one image per task
+    assert all(future.cancelled() for future in executor.futures[1:])
+
+
+def test_pool_parent_holds_a_fraction_of_the_input():
+    rng = np.random.default_rng(4)
+    k, d = 16, 32
+    encoder = Encoder(GmmParams(rng.dirichlet(np.full(k, 3.0)), rng.normal(size=(k, d)),
+                                rng.uniform(0.3, 2.0, size=(k, d))), xavier_init(d, 5))
+    images = [rng.normal(0.0, 0.8, size=(1000, d)) for _ in range(48)]
+    with WorkerPool(2) as pool:
+        map_chunks(_encode_chunk, images[:2], (encoder,), pool)  # warm
+        tracemalloc.start()
+        try:
+            map_chunks(_encode_chunk, images, (encoder,), pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one task per worker pickles every image at once, which reads 1.05x
+    assert peak < 0.35 * sum(image.nbytes for image in images)
 
 
 @pytest.mark.parametrize("preset", [None, "30"], ids=["unset", "preset"])

@@ -339,6 +339,32 @@ def test_evaluate_reports_all_classes(dataset):
         assert 0.0 <= rep.accuracy <= 1.0
 
 
+@pytest.mark.parametrize("mode", [TrainMode.THETA, TrainMode.THETA_GMM_FEATURE])
+def test_checkpoint_encode_rejects_a_nan_by_row_and_column(dataset, mode):
+    checkpoint = phase1_init(dataset, tiny_config(mode=mode)).to_checkpoint()
+    features = dataset.items[0].features.copy()
+    features[4, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^the image encodes to non-finite values: "
+                       r"non-finite value nan at row 4, column 1 of its features$"):
+        checkpoint_encode(checkpoint, features)
+    # a non-finite encoding of finite features says so without a location
+    checkpoint.raw.means[0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^the image encodes to non-finite values$"):
+        checkpoint_encode(checkpoint, dataset.items[0].features)
+
+
+def test_evaluate_checkpoint_names_the_image_with_a_nan(dataset):
+    checkpoint = phase1_init(dataset, tiny_config()).to_checkpoint()
+    items = list(dataset.items)
+    bad = items[6]
+    features = bad.features.copy()
+    features[2, 0] = np.nan
+    items[6] = DatasetItem(bad.image_id, features, bad.labels)
+    with pytest.raises(ValueError, match=rf"^image {bad.image_id} encodes to non-finite "
+                       r"values: non-finite value nan at row 2, column 0 of its features$"):
+        evaluate_checkpoint(checkpoint, Dataset(items))
+
+
 # --------------------------------------------------------------- demo
 
 
