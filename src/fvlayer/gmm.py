@@ -46,7 +46,8 @@ EM_MAX_ITER = 200
 # this many (rows, K, D) values, so the stack's (rows, K) and (rows, D)
 # per-point arrays fit it too. What still grows with T is the O(T * K) or
 # O(T * D) arrays of one image above the budget, and those a pass keeps,
-# such as posteriors and pooled points.
+# such as posteriors and pooled points: phase one's mixture fit holds its
+# column-major pooled points plus one (N, K) work array.
 TILE_VALUES = 131072
 
 __all__ = [
@@ -142,6 +143,13 @@ class RawGmmParams:
 
     def copy(self) -> "RawGmmParams":
         return RawGmmParams(self.nu.copy(), self.zeta.copy(), self.means.copy())
+
+
+class _Scratch(np.ndarray):
+    """Points whose owner gives them up to `em_fit`: its last M-step squares
+    them in place rather than allocating their (T, D) squares. Pipeline's
+    mixture fit views its own pooled copy as this type; em_fit writes to no
+    other array."""
 
 
 def _check_features(features: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -288,6 +296,10 @@ def kmeans_init(
     One departure: a re-seed never takes a cluster's sole member. The
     textbook loop does, and then always passes through an empty cluster
     with a NaN centroid; only on such inputs do the two differ.
+
+    Memory beyond the points is one (T, K) distance buffer and O(T) row
+    norms and assignments. Column-major points are read in place; any
+    other layout adds a (D, T) column copy. The layout changes no bit.
     """
     features = _check_features(features)
     t, d = features.shape
@@ -298,7 +310,8 @@ def kmeans_init(
 
     row_norms = _sq_distances(features, 0.0)
     # (D, T): one bincount per coordinate; on the strided columns of
-    # `features` itself, bincount runs about five times slower
+    # row-major `features`, bincount runs about five times slower. A view
+    # of column-major features, else a copy.
     columns = np.ascontiguousarray(features.T)
     sums = np.empty((n_components, d))
     assign = np.full(t, -1, dtype=np.intp)
@@ -348,9 +361,14 @@ def em_fit(features: np.ndarray, init: GmmParams, seed: int = 0) -> GmmParams:
     warning, and the test starts over; EM_MAX_ITER bounds those passes. The
     strict xfail `test_em_runs_more_than_one_e_step` records this; the fix
     changes fitted mixtures, so it waits for a re-baseline (ROADMAP item 4).
+
     Memory is the (T, K) posteriors of the E-step `posteriors` runs, plus
-    the (T, D) squared features while the M-step lasts.
+    the (T, D) squared features while an M-step lasts. Points given up as
+    `_Scratch` are squared in place on the last M-step instead, as no pass
+    reads them after it; a re-seed copies points that are not row-major.
+    The points' layout changes no bit.
     """
+    overwrite = isinstance(features, _Scratch)
     features = _check_features(features, init.dim)
     t = features.shape[0]
     params = init.copy()
@@ -366,7 +384,10 @@ def em_fit(features: np.ndarray, init: GmmParams, seed: int = 0) -> GmmParams:
         starved = nk < STARVED_MASS
         if starved.any():
             if data_var is None:
-                data_var = np.maximum(features.var(axis=0), VARIANCE_FLOOR)
+                # numpy sums the columns of row-major points in row order,
+                # and those of column-major ones pairwise
+                rowwise = np.ascontiguousarray(features).var(axis=0)
+                data_var = np.maximum(rowwise, VARIANCE_FLOOR)
             for k in np.flatnonzero(starved):
                 pick = int(rng.integers(t))
                 params.means[k] = features[pick]
@@ -380,13 +401,20 @@ def em_fit(features: np.ndarray, init: GmmParams, seed: int = 0) -> GmmParams:
             prev_ll = -np.inf
             continue
 
+        # the stop test reads only the E-step, so it is known before the M-step
+        done = mean_ll - prev_ll <= EM_TOL * max(1.0, abs(prev_ll))
         params.weights = nk / t
         params.means = (gamma.T @ features) / nk[:, None]
-        second = (gamma.T @ features**2) / nk[:, None]
+        if done and overwrite:
+            squares = np.square(features, out=features)
+        else:
+            squares = features**2
+        second = (gamma.T @ squares) / nk[:, None]
+        del squares  # allocated squares must not outlive the M-step
         params.variances = np.maximum(
             second - params.means**2, VARIANCE_FLOOR
         )
-        if mean_ll - prev_ll <= EM_TOL * max(1.0, abs(prev_ll)):
+        if done:
             break
         prev_ll = mean_ll
     params.weights = params.weights / params.weights.sum()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -198,12 +197,15 @@ def _stacks(images: list[np.ndarray], unit: int) -> list[list[int]]:
     return out
 
 
-def _forward_stacks(encoder: Encoder, images: list[np.ndarray], prepare=np.asarray):
-    """Yield (indices, encodings, cache) for each stack of `images`, each
-    image passed through `prepare` as its stack is built."""
+def _forward_stacks(encoder: Encoder, images: list[np.ndarray], prepare=None):
+    """Yield (indices, encodings, cache) for each stack of `images`. With
+    `prepare`, the encoder takes `prepare(stack, indices)` of each stack
+    rather than the stack itself."""
     unit = encoder.params.n_components * encoder.params.dim
     for indices in _stacks(images, unit):
-        stack = np.stack([prepare(images[i]) for i in indices], dtype=np.float64)
+        stack = np.stack([images[i] for i in indices], dtype=np.float64)
+        if prepare is not None:
+            stack = prepare(stack, indices)
         encodings, cache = encoder.forward(stack)
         yield indices, encodings, cache
 
@@ -255,10 +257,10 @@ class TrainState:
 
 
 def _encode_chunk(
-    chunk: list[np.ndarray], encoder: Encoder, prepare=np.asarray
+    chunk: list[np.ndarray], encoder: Encoder, prepare=None
 ) -> list[tuple[np.ndarray, int]]:
-    """(encoding, starved component count) per image, of its inputs
-    `prepare(image)`."""
+    """(encoding, starved component count) per image, its stack passed
+    through `prepare` as `_forward_stacks` does."""
     out: list = [None] * len(chunk)
     for indices, encodings, cache in _forward_stacks(encoder, chunk, prepare):
         for i, encoding, starved in zip(indices, encodings, cache.stats.starved_count()):
@@ -302,10 +304,18 @@ def _grad_chunk(
     return out
 
 
+def _column_major(images: list[np.ndarray]) -> np.ndarray:
+    """The images' rows stacked into one column-major (N, D) array."""
+    rows = sum(len(image) for image in images)
+    return np.concatenate(images, out=np.empty((images[0].shape[1], rows)).T)
+
+
 def _fit_mixture(pooled: np.ndarray, n_components: int, seed: int) -> GmmParams:
-    """k-means++ and Lloyd seeding, then EM, on the pooled points."""
+    """k-means++ and Lloyd seeding, then EM, on pooled points the caller
+    gives up: EM's last M-step overwrites them with their squares. k-means
+    reads column-major points without a column copy."""
     seeded = kmeans_init(pooled, n_components, seed_for(seed, _TAG_KMEANS))
-    return em_fit(pooled, seeded, seed=seed_for(seed, _TAG_EM))
+    return em_fit(pooled.view(gmm._Scratch), seeded, seed=seed_for(seed, _TAG_EM))
 
 
 def _fit_svms(
@@ -358,16 +368,21 @@ def phase1_init(
     layer0 = xavier_init(dim, seed_for(seed, _TAG_LAYER))
     # The mixture is fitted on the layer's own outputs (`pooled`): they
     # equal the clamped raw features only to rounding, not bit for bit.
-    # They are made and fitted before the layer inputs (`rows`) exist, so
-    # the fit's scratch sits beside one (N, D) array; `rows` are inverted
-    # again after it. Row blocks bound the passes' scratch. Each row has the
-    # bits of its image alone, so neither the blocks nor the second
+    # They are made and fitted before the layer inputs (`rows`) exist, and
+    # column-major, so the fit reads them in place and squares them in
+    # place: it holds `pooled` plus one (N, K) work array. `rows` are
+    # inverted again after it. The passes go in row blocks, each copied out
+    # row-major, which bounds their scratch. Each row has the bits of its
+    # image alone, so neither the blocks, nor the layout, nor the second
     # inversion changes a result bit.
-    pooled = np.vstack(prepared)
+    pooled = _column_major(prepared)
     block = gmm.tile_rows(len(pooled), dim)
     for lo in range(0, len(pooled), block):
-        part = pooled[lo : lo + block]
-        part[...] = layer_forward(invert_features(part, layer0), layer0)
+        part = slice(lo, lo + block)
+        # bound to no name, the row-major block copy is freed with its results
+        pooled[part] = layer_forward(
+            invert_features(pooled[part].copy(), layer0), layer0
+        )
     fitted = _fit_mixture(pooled, config.n_components, seed)
     del pooled
     rows = np.vstack(prepared)
@@ -542,7 +557,8 @@ class _MetricsWriter:
 
 
 def _checkpoint_inputs(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
-    """Encoder inputs of raw features under a loaded checkpoint.
+    """Encoder inputs of raw features, an image or a stack of them, under a
+    loaded checkpoint. Both steps are elementwise.
 
     The stored layer, when present, already includes the inversion basis,
     so it applies directly to atanh of the clamped features; without one the
@@ -556,39 +572,52 @@ def _checkpoint_encoder(checkpoint: CheckpointData) -> Encoder:
     return Encoder(reparam_forward(checkpoint.raw), checkpoint.layer)
 
 
-def _non_finite_encoding(name: str, features: np.ndarray) -> ValueError:
-    """The error for an image whose encoding is not finite, naming its first
-    non-finite feature if it has one."""
-    problem = non_finite(np.asarray(features))
-    return ValueError(f"{name} encodes to non-finite values"
-                      + (f": {problem} of its features" if problem else ""))
+def _reject_non_finite(stack: np.ndarray, names) -> None:
+    """Raise a ValueError naming the first non-finite raw feature of a
+    (B, T, D) stack of images named `names`. One pass over the stack
+    decides; only when it fails are the images searched one by one."""
+    if np.isfinite(stack).all():
+        return
+    for image, name in zip(stack, names):
+        problem = non_finite(image)
+        if problem:
+            raise ValueError(f"{name}: {problem}")
 
 
 def checkpoint_encode(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
     """Encode one image's raw features with a loaded checkpoint; raises a
-    ValueError if the encoding is not finite."""
-    x = _checkpoint_inputs(checkpoint, features)
-    encoding = _checkpoint_encoder(checkpoint).forward(x[None])[0][0]
+    ValueError if a feature or the encoding is not finite."""
+    stack = np.asarray(features, dtype=np.float64)[None]
+    _reject_non_finite(stack, ["the image"])
+    x = _checkpoint_inputs(checkpoint, stack)
+    encoding = _checkpoint_encoder(checkpoint).forward(x)[0][0]
     # the squared norm of an L2-normalized vector is at most 1 + rounding
     # when every entry is finite, and NaN otherwise
     if not math.isfinite(encoding.dot(encoding)):
-        raise _non_finite_encoding("the image", features)
+        raise ValueError("the image encodes to non-finite values")
     return encoding
 
 
 def evaluate_checkpoint(
     checkpoint: CheckpointData, dataset: Dataset
 ) -> list[EvalReport]:
+    """Per-class AP and accuracy of a loaded checkpoint on raw features;
+    raises a ValueError naming the image if a feature or an encoding is
+    not finite."""
+    items = dataset.items
+
+    def prepare(stack: np.ndarray, indices: list[int]) -> np.ndarray:
+        _reject_non_finite(stack, [f"image {items[i].image_id}" for i in indices])
+        return _checkpoint_inputs(checkpoint, stack)
+
     encoded = _encode_chunk(
-        [item.features for item in dataset.items],
-        _checkpoint_encoder(checkpoint),
-        partial(_checkpoint_inputs, checkpoint),
+        [item.features for item in items], _checkpoint_encoder(checkpoint), prepare
     )
     encodings = np.stack([encoding for encoding, _ in encoded])
     finite = np.isfinite(np.einsum("ij,ij->i", encodings, encodings))  # as above
     if not finite.all():
-        bad = dataset.items[int(np.argmin(finite))]
-        raise _non_finite_encoding(f"image {bad.image_id}", bad.features)
+        bad = items[int(np.argmin(finite))]
+        raise ValueError(f"image {bad.image_id} encodes to non-finite values")
     labels = dataset.label_matrix()
     reports = []
     for class_index, theta in enumerate(checkpoint.thetas):
@@ -625,7 +654,7 @@ def shift_demo(
         raise ValueError("steps must be at least 1")
     labels = dataset.label_matrix()[:, 0]
     clouds = [np.array(item.features, dtype=np.float64, copy=True) for item in dataset.items]
-    encoder = Encoder(_fit_mixture(np.vstack(clouds), n_components, seed))
+    encoder = Encoder(_fit_mixture(_column_major(clouds), n_components, seed))
 
     positions: list[np.ndarray] = []
     accuracies = np.empty(steps + 1)

@@ -1,7 +1,12 @@
 """Mixture model: densities, posteriors, fitting, reparameterization."""
 
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -362,33 +367,142 @@ def test_em_runs_more_than_one_e_step(monkeypatch):
     assert len(e_steps) > 1
 
 
+# -------------------------------------------------------------- layout
+# Phase one fits the mixture on column-major points. BLAS reduces over
+# blocks at these sizes (N >= 4096, D = 32, K = 16), so these pin that the
+# layout changes no bit of k-means, EM or posteriors on the BLAS in use.
+
+LAYOUT_N, LAYOUT_D, LAYOUT_K = 4096, 32, 16
+
+
+def _column_major(rows):
+    cols = np.asfortranarray(rows)
+    assert cols.flags.f_contiguous and not cols.flags.c_contiguous
+    return cols
+
+
+def _layout_points(case):
+    rng = np.random.default_rng(71)
+    if case == "blobs":
+        centers = rng.normal(size=(LAYOUT_K, LAYOUT_D))
+        return centers[rng.integers(0, LAYOUT_K, LAYOUT_N)] + rng.normal(
+            scale=0.7, size=(LAYOUT_N, LAYOUT_D))
+    # near ties: 16 rows 1e-6 apart at an offset of 100, so the expanded
+    # distances round at the scale of their separation and clusters keep
+    # emptying and being re-seeded
+    rows = 100.0 + 1e-6 * rng.normal(size=(LAYOUT_K, LAYOUT_D))
+    return rows[rng.integers(0, LAYOUT_K, LAYOUT_N)]
+
+
+@pytest.mark.parametrize("case", ["blobs", "near ties"])
+def test_kmeans_bit_identical_on_column_major_points(case):
+    feats = _layout_points(case)
+    if case == "near ties":
+        # the textbook loop re-seeds here too; it also empties a cluster
+        # (see the re-seed tests above), so its mixture is not compared
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, _, reseeds = _reference_kmeans_init(feats, LAYOUT_K, seed=2)
+        assert reseeds > 0
+    _assert_same_mixture(kmeans_init(_column_major(feats), LAYOUT_K, seed=2),
+                         kmeans_init(feats, LAYOUT_K, seed=2))
+
+
+def _layout_mixture(starving):
+    feats = _layout_points("blobs")
+    init = kmeans_init(feats, LAYOUT_K, seed=5)
+    if starving:
+        init.means[3] = 1e6  # no posterior mass: EM re-seeds it
+    return feats, init
+
+
+@pytest.mark.parametrize("starving", [False, True])
+def test_em_bit_identical_on_column_major_and_scratch_points(starving, caplog):
+    feats, init = _layout_mixture(starving)
+    with caplog.at_level(logging.WARNING, logger="fvlayer.gmm"):
+        expected = em_fit(feats, init, seed=7)
+        _assert_same_mixture(em_fit(_column_major(feats), init, seed=7), expected)
+        # the in-place M-step of phase one's fit, on either layout
+        for points in (feats.copy(), _column_major(feats)):
+            _assert_same_mixture(em_fit(points.view(gmm._Scratch), init, seed=7),
+                                 expected)
+    assert any("starved" in rec.message for rec in caplog.records) == starving
+
+
+def test_posteriors_bit_identical_on_column_major_points():
+    feats, init = _layout_mixture(False)
+    np.testing.assert_array_equal(posteriors(_column_major(feats), init),
+                                  posteriors(feats, init))
+
+
+def test_layouts_bit_identical_with_one_blas_thread():
+    # the tests above run on the host's BLAS thread count; a 1-thread BLAS
+    # splits its work differently, so they run again in a child with one
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(Path(__file__).resolve()), "-k", "column_major"],
+        env=env, cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:]
+    assert "\n5 passed" in done.stdout
+
+
+# ---------------------------------------------------- caller's arrays
+
+
+def test_fitting_leaves_the_callers_arrays_untouched():
+    feats, init = _layout_mixture(True)
+    for points in (feats, _column_major(feats)):
+        before = points.copy(order="K")
+        kept = init.copy()
+        kmeans_init(points, LAYOUT_K, seed=2)
+        em_fit(points, init, seed=7)
+        np.testing.assert_array_equal(points, before)
+        _assert_same_mixture(init, kept)
+    # the scratch view is the one array EM may overwrite: with its squares
+    scratch = _column_major(feats)
+    em_fit(scratch.view(gmm._Scratch), init, seed=7)
+    np.testing.assert_array_equal(scratch, np.square(feats))
+
+
 def test_e_step_memory_bounded_in_t():
     # one unchunked (T, K, D) float64 intermediate here would be 188 MiB
     rng = np.random.default_rng(67)
     feats = rng.normal(size=(48000, 32))
     params = random_params(16, 32, rng)
+    cols = _column_major(feats)
     limit = 64 * 2**20
+    peaks = {}
     tracemalloc.start()
     try:
-        posteriors(feats, params)
-        posteriors_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        em_fit(feats, params)
-        em_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        kmeans_init(feats, 16, seed=0)
-        kmeans_peak = tracemalloc.get_traced_memory()[1]
+        for name, run in (
+            ("posteriors", lambda: posteriors(feats, params)),
+            ("em", lambda: em_fit(feats, params)),
+            ("kmeans", lambda: kmeans_init(feats, 16, seed=0)),
+            ("kmeans, column-major", lambda: kmeans_init(cols, 16, seed=0)),
+            # phase one's fit on its own column-major points
+            ("fit, column-major scratch", lambda: em_fit(
+                cols.view(gmm._Scratch), kmeans_init(cols, 16, seed=0))),
+        ):
+            tracemalloc.reset_peak()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert posteriors_peak < limit
-    assert em_peak < limit
+    assert peaks["posteriors"] < limit
+    assert peaks["em"] < limit
     # in multiples of the (T, D) input: posteriors keep one (T, K) array
     # (K = D / 2 here), EM adds the squared features for the M-step, and
-    # k-means holds a (D, T) column copy and one (T, K) distance buffer
+    # k-means holds a (D, T) column copy and one (T, K) distance buffer.
+    # On column-major points k-means reads the columns in place, and EM
+    # squares scratch points in place, so the fit holds one (T, K) array.
     size = feats.nbytes
-    assert posteriors_peak < 1.25 * size
-    assert em_peak < 2.0 * size
-    assert kmeans_peak < 1.85 * size
+    assert peaks["posteriors"] < 1.25 * size
+    assert peaks["em"] < 2.0 * size
+    assert peaks["kmeans"] < 1.85 * size
+    assert peaks["kmeans, column-major"] < 0.85 * size
+    assert peaks["fit, column-major scratch"] < 0.85 * size
 
 
 # ------------------------------------------------- reparameterization

@@ -136,8 +136,9 @@ def test_phase1_blocks_are_bit_identical_to_one_pass(monkeypatch):
 
 def test_phase1_memory_bounded_by_pooled_points():
     # train-mid shapes: 48 images of T = 1000, D = 32, K = 16. While the
-    # mixture is fitted, phase one keeps the pooled points plus the fit's
-    # work arrays; the layer inputs are made only after the fit.
+    # mixture is fitted, phase one keeps the column-major pooled points plus
+    # one (N, K) work array (N * K = N * D / 2 here); the layer inputs are
+    # made only after the fit, once the pooled points are freed.
     data = blob_dataset([1000] * 48, dim=32, seed=9)
     pooled_bytes = 48 * 1000 * 32 * 8
     config = tiny_config(n_components=16, svm_init_epochs=2)
@@ -147,7 +148,18 @@ def test_phase1_memory_bounded_by_pooled_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.0 * pooled_bytes
+    assert peak < 2.0 * pooled_bytes
+
+
+def test_training_and_the_demo_leave_the_callers_features_untouched():
+    # the mixture fit squares its points in place: they must be its own
+    data = blob_dataset([48] * 10, dim=4, seed=13)
+    before = [item.features.copy() for item in data.items]
+    phase1_init(data, tiny_config(n_components=3))
+    train(data, tiny_config(n_components=3, joint_epochs=1))
+    shift_demo(data, steps=1, eta=0.3, n_components=3, seed=1)
+    for item, features in zip(data.items, before, strict=True):
+        np.testing.assert_array_equal(item.features, features)
 
 
 def test_phase1_subsample_limits_gmm_pool(dataset):
@@ -344,8 +356,8 @@ def test_checkpoint_encode_rejects_a_nan_by_row_and_column(dataset, mode):
     checkpoint = phase1_init(dataset, tiny_config(mode=mode)).to_checkpoint()
     features = dataset.items[0].features.copy()
     features[4, 1] = np.nan
-    with pytest.raises(ValueError, match=r"^the image encodes to non-finite values: "
-                       r"non-finite value nan at row 4, column 1 of its features$"):
+    with pytest.raises(ValueError, match=r"^the image: non-finite value nan at row 4, "
+                       r"column 1$"):
         checkpoint_encode(checkpoint, features)
     # a non-finite encoding of finite features says so without a location
     checkpoint.raw.means[0, 0] = np.nan
@@ -360,8 +372,31 @@ def test_evaluate_checkpoint_names_the_image_with_a_nan(dataset):
     features = bad.features.copy()
     features[2, 0] = np.nan
     items[6] = DatasetItem(bad.image_id, features, bad.labels)
-    with pytest.raises(ValueError, match=rf"^image {bad.image_id} encodes to non-finite "
-                       r"values: non-finite value nan at row 2, column 0 of its features$"):
+    with pytest.raises(ValueError, match=rf"^image {bad.image_id}: non-finite value nan "
+                       r"at row 2, column 0$"):
+        evaluate_checkpoint(checkpoint, Dataset(items))
+    # a non-finite encoding of finite features names the image alone
+    checkpoint.raw.means[0, 0] = np.nan
+    with pytest.raises(ValueError, match=rf"^image {items[0].image_id} encodes to "
+                       r"non-finite values$"):
+        evaluate_checkpoint(checkpoint, dataset)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("mode", [TrainMode.THETA, TrainMode.THETA_GMM_FEATURE])
+def test_encoding_rejects_an_infinite_feature_by_image_row_and_column(dataset, mode, value):
+    # clamping would otherwise turn it into 1 - 1e-6 and encode it silently
+    checkpoint = phase1_init(dataset, tiny_config(mode=mode)).to_checkpoint()
+    items = list(dataset.items)
+    bad = items[13]
+    features = bad.features.copy()
+    features[3, 1] = value
+    items[13] = DatasetItem(bad.image_id, features, bad.labels)
+    with pytest.raises(ValueError, match=rf"^the image: non-finite value {value} "
+                       r"at row 3, column 1$"):
+        checkpoint_encode(checkpoint, features)
+    with pytest.raises(ValueError, match=rf"^image {bad.image_id}: non-finite value "
+                       rf"{value} at row 3, column 1$"):
         evaluate_checkpoint(checkpoint, Dataset(items))
 
 
