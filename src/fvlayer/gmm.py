@@ -31,9 +31,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # EM re-seeds it, and an encoding counts it.
 STARVED_MASS = 1e-12
 
-# EM's stop rule: a relative gain in mean log-likelihood of at most EM_TOL,
-# or EM_MAX_ITER passes.
-EM_TOL = 1e-6
+# Bounds `em_fit`'s E-steps, which repeat only while a component starves
+# and is re-seeded.
 EM_MAX_ITER = 200
 
 # Passes that form (rows, K, D) intermediates walk them in tiles of at most
@@ -56,7 +55,6 @@ __all__ = [
     "NU_LIMIT",
     "ZETA_LIMIT",
     "STARVED_MASS",
-    "EM_TOL",
     "EM_MAX_ITER",
     "GmmParams",
     "RawGmmParams",
@@ -146,7 +144,7 @@ class RawGmmParams:
 
 
 class _Scratch(np.ndarray):
-    """Points whose owner gives them up to `em_fit`: its last M-step squares
+    """Points whose owner gives them up to `em_fit`: its M-step squares
     them in place rather than allocating their (T, D) squares. Pipeline's
     mixture fit views its own pooled copy as this type; em_fit writes to no
     other array."""
@@ -199,10 +197,10 @@ def _log_density_matrix(features: np.ndarray, params: GmmParams) -> np.ndarray:
     return out
 
 
-def _log_posteriors(features: np.ndarray, params: GmmParams) -> tuple:
-    """(T, K) log posteriors of checked features, and their (T, 1) log
-    likelihoods: the log-sum-exp of each row of the log joint, shifted by
-    the row maximum. The E-step of both `posteriors` and `em_fit`.
+def _log_posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
+    """(T, K) log posteriors of checked features: the log joint less the
+    log-sum-exp of each of its rows, shifted by the row maximum. The E-step
+    of both `posteriors` and `em_fit`.
 
     It works in place on the log-density matrix. The shifted exponentials
     go through one buffer of tile_rows(T, K) rows, each row summed alone,
@@ -220,9 +218,8 @@ def _log_posteriors(features: np.ndarray, params: GmmParams) -> tuple:
         np.subtract(log_joint[lo : lo + tile], m[lo : lo + tile], out=shifted)
         np.exp(shifted, out=shifted)
         np.sum(shifted, axis=1, keepdims=True, out=sums[lo : lo + tile])
-    log_norm = m + np.log(sums)
-    log_joint -= log_norm
-    return log_joint, log_norm
+    log_joint -= m + np.log(sums)
+    return log_joint
 
 
 def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -234,7 +231,7 @@ def posteriors(features: np.ndarray, params: GmmParams) -> np.ndarray:
     tile buffers: no (T, K, D) array and no second (T, K) array is formed.
     """
     features = _check_features(features, params.dim)
-    gamma = _log_posteriors(features, params)[0]
+    gamma = _log_posteriors(features, params)
     return np.exp(gamma, out=gamma)
 
 
@@ -352,21 +349,21 @@ def kmeans_init(
 
 
 def em_fit(features: np.ndarray, init: GmmParams, seed: int = 0) -> GmmParams:
-    """Expectation-maximization refinement of a seeded mixture.
+    """One expectation-maximization step from a seeded mixture.
 
-    It stops after its first M-step: the stop test (a relative gain in mean
-    log-likelihood of at most EM_TOL) compares against a previous value of
-    -inf, so it always holds. A component whose posterior mass starves
-    (below STARVED_MASS) is re-seeded to a random data point, logged as a
-    warning, and the test starts over; EM_MAX_ITER bounds those passes. The
-    strict xfail `test_em_runs_more_than_one_e_step` records this; the fix
-    changes fitted mixtures, so it waits for a re-baseline (ROADMAP item 4).
+    The E-step runs until no component starves: one whose posterior mass is
+    below STARVED_MASS is re-seeded to a random data point, logged as a
+    warning, and the E-step runs again, at most EM_MAX_ITER times in all.
+    Then one M-step, if some E-step starved nothing. The strict xfail
+    `test_em_runs_more_than_one_e_step` records that EM stops there; more
+    steps change fitted mixtures, so they wait for a re-baseline (ROADMAP
+    item 5).
 
     Memory is the (T, K) posteriors of the E-step `posteriors` runs, plus
-    the (T, D) squared features while an M-step lasts. Points given up as
-    `_Scratch` are squared in place on the last M-step instead, as no pass
-    reads them after it; a re-seed copies points that are not row-major.
-    The points' layout changes no bit.
+    the (T, D) squared features of the M-step. Points given up as
+    `_Scratch` are squared in place instead, as no pass reads them after
+    it; a re-seed copies points that are not row-major. The points' layout
+    changes no bit.
     """
     overwrite = isinstance(features, _Scratch)
     features = _check_features(features, init.dim)
@@ -374,49 +371,33 @@ def em_fit(features: np.ndarray, init: GmmParams, seed: int = 0) -> GmmParams:
     params = init.copy()
     rng = np.random.default_rng(seed)
     data_var = None  # the re-seed variance, computed on first use
-    prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
-        gamma, log_norm = _log_posteriors(features, params)
-        mean_ll = float(log_norm[:, 0].mean())
+        gamma = _log_posteriors(features, params)
         np.exp(gamma, out=gamma)
-
         nk = gamma.sum(axis=0)
         starved = nk < STARVED_MASS
-        if starved.any():
-            if data_var is None:
-                # numpy sums the columns of row-major points in row order,
-                # and those of column-major ones pairwise
-                rowwise = np.ascontiguousarray(features).var(axis=0)
-                data_var = np.maximum(rowwise, VARIANCE_FLOOR)
-            for k in np.flatnonzero(starved):
-                pick = int(rng.integers(t))
-                params.means[k] = features[pick]
-                params.variances[k] = data_var
-                logger.warning(
-                    "re-seeded starved mixture component %d to data point %d", k, pick
-                )
-            # keep healthy components, renormalize weight mass
-            params.weights[starved] = 1.0 / t
-            params.weights /= params.weights.sum()
-            prev_ll = -np.inf
-            continue
-
-        # the stop test reads only the E-step, so it is known before the M-step
-        done = mean_ll - prev_ll <= EM_TOL * max(1.0, abs(prev_ll))
-        params.weights = nk / t
-        params.means = (gamma.T @ features) / nk[:, None]
-        if done and overwrite:
-            squares = np.square(features, out=features)
-        else:
-            squares = features**2
-        second = (gamma.T @ squares) / nk[:, None]
-        del squares  # allocated squares must not outlive the M-step
-        params.variances = np.maximum(
-            second - params.means**2, VARIANCE_FLOOR
-        )
-        if done:
+        if not starved.any():
+            params.weights = nk / t
+            params.means = (gamma.T @ features) / nk[:, None]
+            squares = np.square(features, out=features) if overwrite else features**2
+            second = (gamma.T @ squares) / nk[:, None]
+            params.variances = np.maximum(second - params.means**2, VARIANCE_FLOOR)
             break
-        prev_ll = mean_ll
+        if data_var is None:
+            # numpy sums the columns of row-major points in row order, and
+            # those of column-major ones pairwise
+            rowwise = np.ascontiguousarray(features).var(axis=0)
+            data_var = np.maximum(rowwise, VARIANCE_FLOOR)
+        for k in np.flatnonzero(starved):
+            pick = int(rng.integers(t))
+            params.means[k] = features[pick]
+            params.variances[k] = data_var
+            logger.warning(
+                "re-seeded starved mixture component %d to data point %d", k, pick
+            )
+        # keep healthy components, renormalize weight mass
+        params.weights[starved] = 1.0 / t
+        params.weights /= params.weights.sum()
     params.weights = params.weights / params.weights.sum()
     params.validate()
     return params

@@ -197,15 +197,11 @@ def _stacks(images: list[np.ndarray], unit: int) -> list[list[int]]:
     return out
 
 
-def _forward_stacks(encoder: Encoder, images: list[np.ndarray], prepare=None):
-    """Yield (indices, encodings, cache) for each stack of `images`. With
-    `prepare`, the encoder takes `prepare(stack, indices)` of each stack
-    rather than the stack itself."""
+def _forward_stacks(encoder: Encoder, images: list[np.ndarray]):
+    """Yield (indices, encodings, cache) for each stack of `images`."""
     unit = encoder.params.n_components * encoder.params.dim
     for indices in _stacks(images, unit):
         stack = np.stack([images[i] for i in indices], dtype=np.float64)
-        if prepare is not None:
-            stack = prepare(stack, indices)
         encodings, cache = encoder.forward(stack)
         yield indices, encodings, cache
 
@@ -257,12 +253,11 @@ class TrainState:
 
 
 def _encode_chunk(
-    chunk: list[np.ndarray], encoder: Encoder, prepare=None
+    chunk: list[np.ndarray], encoder: Encoder
 ) -> list[tuple[np.ndarray, int]]:
-    """(encoding, starved component count) per image, its stack passed
-    through `prepare` as `_forward_stacks` does."""
+    """(encoding, starved component count) per image."""
     out: list = [None] * len(chunk)
-    for indices, encodings, cache in _forward_stacks(encoder, chunk, prepare):
+    for indices, encodings, cache in _forward_stacks(encoder, chunk):
         for i, encoding, starved in zip(indices, encodings, cache.stats.starved_count()):
             out[i] = (encoding, int(starved))
     return out
@@ -312,7 +307,7 @@ def _column_major(images: list[np.ndarray]) -> np.ndarray:
 
 def _fit_mixture(pooled: np.ndarray, n_components: int, seed: int) -> GmmParams:
     """k-means++ and Lloyd seeding, then EM, on pooled points the caller
-    gives up: EM's last M-step overwrites them with their squares. k-means
+    gives up: EM's M-step overwrites them with their squares. k-means
     reads column-major points without a column copy."""
     seeded = kmeans_init(pooled, n_components, seed_for(seed, _TAG_KMEANS))
     return em_fit(pooled.view(gmm._Scratch), seeded, seed=seed_for(seed, _TAG_EM))
@@ -556,46 +551,42 @@ class _MetricsWriter:
             self._fh.close()
 
 
-def _checkpoint_inputs(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
-    """Encoder inputs of raw features, an image or a stack of them, under a
-    loaded checkpoint. Both steps are elementwise.
+def _encode_raw(encoder: Encoder, stack: np.ndarray, names: list[str]) -> np.ndarray:
+    """(B, length) encodings of a (B, T, D) stack of raw images named
+    `names`, under a loaded checkpoint's encoder; raises a ValueError
+    naming the first image with a non-finite feature or encoding.
 
     The stored layer, when present, already includes the inversion basis,
-    so it applies directly to atanh of the clamped features; without one the
-    mixture encodes the clamped features themselves.
+    so it applies directly to atanh of the clamped features; without one
+    the mixture encodes the clamped features themselves. The clamped copy
+    under a layer is bound to no name, so it is freed before the encoder
+    runs.
     """
-    x = clamp_features(features)
-    return np.arctanh(x) if checkpoint.layer is not None else x
-
-
-def _checkpoint_encoder(checkpoint: CheckpointData) -> Encoder:
-    return Encoder(reparam_forward(checkpoint.raw), checkpoint.layer)
-
-
-def _reject_non_finite(stack: np.ndarray, names) -> None:
-    """Raise a ValueError naming the first non-finite raw feature of a
-    (B, T, D) stack of images named `names`. One pass over the stack
-    decides; only when it fails are the images searched one by one."""
-    if np.isfinite(stack).all():
-        return
-    for image, name in zip(stack, names):
-        problem = non_finite(image)
-        if problem:
-            raise ValueError(f"{name}: {problem}")
+    if not np.isfinite(stack).all():
+        for image, name in zip(stack, names):
+            problem = non_finite(image)
+            if problem:
+                raise ValueError(f"{name}: {problem}")
+    if encoder.layer is None:
+        stack = clamp_features(stack)
+    else:
+        stack = np.arctanh(clamp_features(stack))
+    encodings = encoder.forward(stack)[0]
+    flat = encodings.reshape(-1)
+    # entries of a finite L2-normalized row are at most 1 in magnitude, so
+    # this sum cannot overflow: it is NaN or inf exactly when an entry is
+    if not math.isfinite(flat.dot(flat)):
+        bad = int(np.argmin(np.isfinite(encodings).all(axis=1)))
+        raise ValueError(f"{names[bad]} encodes to non-finite values")
+    return encodings
 
 
 def checkpoint_encode(checkpoint: CheckpointData, features: np.ndarray) -> np.ndarray:
     """Encode one image's raw features with a loaded checkpoint; raises a
     ValueError if a feature or the encoding is not finite."""
+    encoder = Encoder(reparam_forward(checkpoint.raw), checkpoint.layer)
     stack = np.asarray(features, dtype=np.float64)[None]
-    _reject_non_finite(stack, ["the image"])
-    x = _checkpoint_inputs(checkpoint, stack)
-    encoding = _checkpoint_encoder(checkpoint).forward(x)[0][0]
-    # the squared norm of an L2-normalized vector is at most 1 + rounding
-    # when every entry is finite, and NaN otherwise
-    if not math.isfinite(encoding.dot(encoding)):
-        raise ValueError("the image encodes to non-finite values")
-    return encoding
+    return _encode_raw(encoder, stack, ["the image"])[0]
 
 
 def evaluate_checkpoint(
@@ -605,19 +596,16 @@ def evaluate_checkpoint(
     raises a ValueError naming the image if a feature or an encoding is
     not finite."""
     items = dataset.items
-
-    def prepare(stack: np.ndarray, indices: list[int]) -> np.ndarray:
-        _reject_non_finite(stack, [f"image {items[i].image_id}" for i in indices])
-        return _checkpoint_inputs(checkpoint, stack)
-
-    encoded = _encode_chunk(
-        [item.features for item in items], _checkpoint_encoder(checkpoint), prepare
-    )
-    encodings = np.stack([encoding for encoding, _ in encoded])
-    finite = np.isfinite(np.einsum("ij,ij->i", encodings, encodings))  # as above
-    if not finite.all():
-        bad = items[int(np.argmin(finite))]
-        raise ValueError(f"image {bad.image_id} encodes to non-finite values")
+    images = [item.features for item in items]
+    encoder = Encoder(reparam_forward(checkpoint.raw), checkpoint.layer)
+    k, d = encoder.params.n_components, encoder.params.dim
+    encodings = np.empty((len(items), fv_length(k, d)))
+    for indices in _stacks(images, k * d):
+        encodings[indices] = _encode_raw(
+            encoder,
+            np.stack([images[i] for i in indices], dtype=np.float64),
+            [f"image {items[i].image_id}" for i in indices],
+        )
     labels = dataset.label_matrix()
     reports = []
     for class_index, theta in enumerate(checkpoint.thetas):

@@ -1,5 +1,6 @@
 """Every exported name resolves: a deletion that leaves a stale entry in an
-`__all__` list or in the package's imports fails here, by name."""
+`__all__` list or in the package's imports fails here, by name. And every
+module reads what it imports."""
 
 import ast
 import importlib
@@ -31,3 +32,27 @@ def test_every_name_the_package_imports_resolves():
         if not hasattr(importlib.import_module(f"fvlayer.{node.module}"), alias.name)
     ]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(Path(fvlayer.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = set(getattr(importlib.import_module(f"fvlayer.{path.stem}"),
+                               "__all__", []))
+        unused += [f"{path.name}: {name}" for name in bound
+                   if name not in read and name not in exported]
+    assert unused == []

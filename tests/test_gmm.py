@@ -345,8 +345,8 @@ def test_em_reseeds_starved_component(caplog):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="em_fit stops after one M-step: on the first pass prev_ll is -inf, "
-    "so `inf <= EM_TOL * inf` holds",
+    reason="em_fit takes one EM step: it runs another E-step only after "
+    "re-seeding a starved component, and never a second M-step",
 )
 def test_em_runs_more_than_one_e_step(monkeypatch):
     rng = np.random.default_rng(61)
@@ -427,6 +427,33 @@ def test_em_bit_identical_on_column_major_and_scratch_points(starving, caplog):
             _assert_same_mixture(em_fit(points.view(gmm._Scratch), init, seed=7),
                                  expected)
     assert any("starved" in rec.message for rec in caplog.records) == starving
+
+
+@pytest.mark.parametrize("shape", [(400, 2, 2), (LAYOUT_N, LAYOUT_D, LAYOUT_K)])
+def test_em_bit_identical_to_one_written_out_step(shape):
+    n, d, k = shape
+    if k == LAYOUT_K:
+        feats, init = _layout_mixture(False)
+    else:
+        rng = np.random.default_rng(73)
+        feats = np.concatenate([rng.normal(loc=-1.0, scale=1.0, size=(n // 2, d)),
+                                rng.normal(loc=1.0, scale=0.5, size=(n // 2, d))])
+        init = kmeans_init(feats, k, seed=5)
+    assert feats.shape == (n, d) and init.n_components == k
+    # the E-step, then one M-step, written out
+    gamma = posteriors(feats, init)
+    nk = gamma.sum(axis=0)
+    assert np.all(nk >= gmm.STARVED_MASS)
+    means = (gamma.T @ feats) / nk[:, None]
+    variances = np.maximum((gamma.T @ feats**2) / nk[:, None] - means**2,
+                           VARIANCE_FLOOR)
+    weights = nk / n
+    weights = weights / weights.sum()
+    for points in (feats, _column_major(feats).view(gmm._Scratch)):
+        fitted = em_fit(points, init, seed=7)
+        np.testing.assert_array_equal(fitted.weights, weights)
+        np.testing.assert_array_equal(fitted.means, means)
+        np.testing.assert_array_equal(fitted.variances, variances)
 
 
 def test_posteriors_bit_identical_on_column_major_points():

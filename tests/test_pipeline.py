@@ -333,6 +333,25 @@ def test_checkpoint_eval_matches_state_eval(dataset, tmp_path, mode):
         assert accuracy(scores, labels) == pytest.approx(b.accuracy, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", [TrainMode.THETA, TrainMode.THETA_GMM_FEATURE])
+def test_evaluate_checkpoint_scores_the_encodings_checkpoint_encode_makes(dataset, mode):
+    # one inference path: three point counts form several stacks, and the
+    # last image is above one stack's budget, so the kernels tile its rows
+    checkpoint = train(dataset, tiny_config(mode=mode, joint_epochs=1)).to_checkpoint()
+    big = gmm.TILE_VALUES // (2 * 2) + 100
+    heldout = blob_dataset([20, 31, 20, 47, 31, 20, 47, big], dim=2, seed=19)
+    images = [item.features for item in heldout.items]
+    assert len(pipeline._stacks(images, 2 * 2)) == 4
+    encodings = np.stack([checkpoint_encode(checkpoint, x) for x in images])
+    labels = heldout.label_matrix()
+    reports = evaluate_checkpoint(checkpoint, heldout)
+    assert [r.class_index for r in reports] == [0, 1]
+    for report, theta in zip(reports, checkpoint.thetas):
+        scores = encodings @ theta[:-1] + theta[-1]
+        assert report.ap == average_precision(scores, labels[:, report.class_index])
+        assert report.accuracy == accuracy(scores, labels[:, report.class_index])
+
+
 def test_checkpoint_encode_matches_state_encode(dataset):
     state = train(dataset, tiny_config(joint_epochs=1))
     checkpoint = state.to_checkpoint()
